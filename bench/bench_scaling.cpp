@@ -5,17 +5,7 @@
 //   * the PACE dynamic program vs the exponential brute force,
 //   * old vs new allocation evaluation (naive vs event-driven list
 //     scheduler, uncached vs memoized evaluation).
-//
-// After the microbenchmarks of a full (unfiltered) run, the
-// old-vs-new search comparison is measured end to end and written to
-// BENCH_search.json (path overridable via the LYCOS_BENCH_JSON
-// environment variable) so the speedup is tracked across PRs; runs
-// with --benchmark_filter or --benchmark_list_tests skip it.
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#include <iostream>
-#include <string_view>
 
 #include "apps/random_app.hpp"
 #include "core/allocator.hpp"
@@ -25,7 +15,6 @@
 #include "pace/multi_asic.hpp"
 #include "pace/pace.hpp"
 #include "search/eval_cache.hpp"
-#include "search/search_bench.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -180,7 +169,7 @@ void bm_pace_incremental_cold(benchmark::State& state)
 BENCHMARK(bm_pace_incremental_resume)->RangeMultiplier(2)->Range(4, 64);
 BENCHMARK(bm_pace_incremental_cold)->RangeMultiplier(2)->Range(4, 64);
 
-// --- two-ASIC DP: dense reference vs frontier/workspace -------------
+// --- two-ASIC DP: dense reference vs Pareto-sparse -----------------
 std::vector<pace::Multi_bsb_cost> random_multi_costs(int n)
 {
     const auto c0 = random_costs(n);
@@ -207,17 +196,6 @@ void bm_multi_pace_dense(benchmark::State& state)
         benchmark::DoNotOptimize(r);
     }
 }
-void bm_multi_pace_frontier(benchmark::State& state)
-{
-    const auto costs = random_multi_costs(static_cast<int>(state.range(0)));
-    const pace::Multi_pace_options opts{.ctrl_area_budgets = {300.0, 300.0},
-                                        .area_quantum = 1.0};
-    pace::Multi_pace_workspace ws;
-    for (auto _ : state) {
-        auto r = pace::multi_pace_partition_frontier(costs, opts, &ws);
-        benchmark::DoNotOptimize(r);
-    }
-}
 void bm_multi_pace_sparse(benchmark::State& state)
 {
     const auto costs = random_multi_costs(static_cast<int>(state.range(0)));
@@ -241,7 +219,6 @@ void bm_multi_pace_screen(benchmark::State& state)
     }
 }
 BENCHMARK(bm_multi_pace_dense)->RangeMultiplier(2)->Range(4, 32);
-BENCHMARK(bm_multi_pace_frontier)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(bm_multi_pace_sparse)->RangeMultiplier(2)->Range(4, 32);
 BENCHMARK(bm_multi_pace_screen)->RangeMultiplier(2)->Range(4, 32);
 
@@ -336,35 +313,4 @@ BENCHMARK(bm_evaluate_cached)->RangeMultiplier(2)->Range(8, 64);
 
 }  // namespace
 
-int main(int argc, char** argv)
-{
-    // Iterating, introspecting, or machine-reading (--benchmark_filter,
-    // --benchmark_list_tests, --benchmark_format/--benchmark_out) should
-    // not pay for the multi-second search comparison, clobber
-    // BENCH_search.json, corrupt JSON on stdout with the plain-text
-    // summary, or have the exit code overridden — the report belongs to
-    // plain full runs and to lycos_cli.
-    bool skip_search_bench = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
-        if (arg.starts_with("--benchmark_filter") ||
-            arg.starts_with("--benchmark_list_tests") ||
-            arg.starts_with("--benchmark_format") ||
-            arg.starts_with("--benchmark_out"))
-            skip_search_bench = true;
-    }
-
-    ::benchmark::Initialize(&argc, argv);
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
-    if (skip_search_bench)
-        return 0;
-
-    // End-to-end old-vs-new search comparison, tracked across PRs.
-    const char* path = std::getenv("LYCOS_BENCH_JSON");
-    const std::string json_path = path != nullptr ? path : "BENCH_search.json";
-    return lycos::search::write_bench_report(json_path, std::cout,
-                                             std::cerr);
-}
+BENCHMARK_MAIN();

@@ -59,9 +59,11 @@ Hw_library parse_library(std::string_view text)
         std::string extra;
         if (fields >> extra)
             fail(line_no, "trailing field '" + extra + "'");
+        // parse_ops prefixes its own errors, so it runs outside the try
+        // that adds the prefix to Hw_library::add's.
+        Op_set ops = parse_ops(ops_spec, line_no);
         try {
-            lib.add(Resource_type{name, parse_ops(ops_spec, line_no), area,
-                                  latency});
+            lib.add(Resource_type{name, std::move(ops), area, latency});
         }
         catch (const std::invalid_argument& e) {
             fail(line_no, e.what());

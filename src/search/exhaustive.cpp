@@ -1235,9 +1235,4 @@ Search_result exhaustive_engine(const Eval_context& ctx,
     return result;
 }
 
-// The deprecated exhaustive_search shim lives in solver/compat.cpp:
-// it delegates to a solver::Session, and the solver layer already
-// depends on this one — defining it there keeps the dependency
-// one-directional.
-
 }  // namespace lycos::search

@@ -107,7 +107,7 @@ struct Search_result {
                                      ///< restarts, rows — per engine)
 };
 
-/// Knobs for exhaustive_search; the defaults are the fast path.
+/// Knobs for exhaustive_engine; the defaults are the fast path.
 struct Exhaustive_options {
     int n_threads = 0;      ///< 0 = hardware concurrency
     bool use_cache = true;  ///< memoize per-BSB scheduling (bit-identical)
@@ -134,16 +134,14 @@ struct Exhaustive_options {
     /// (including the ones built privately by workers 1..n-1), so the
     /// per-worker O(app) setup runs once per problem instead of once
     /// per worker.  Null: each private cache computes its own.  A
-    /// solver::Session always fills this in.  Engine-level option:
-    /// the deprecated shims ignore it (their one-shot Session manages
-    /// its own) — results are unaffected either way.
+    /// solver::Session always fills this in; results are unaffected
+    /// either way.
     std::shared_ptr<const Eval_invariants> invariants;
 
     /// Run the chunks on this caller-owned pool instead of spawning a
     /// fresh one per call (the pool's thread count need not match
     /// n_threads — chunks are queued tasks).  A solver::Session owns
-    /// one pool and reuses it across solves.  Engine-level option,
-    /// ignored by the deprecated shims like `invariants`.
+    /// one pool and reuses it across solves.
     util::Thread_pool* pool = nullptr;
 
     /// Session-persistent per-worker DP workspaces (workspace_pool.hpp):
@@ -197,15 +195,6 @@ struct Exhaustive_options {
 /// prefer driving it through a solver::Session, which owns the thread
 /// pool, the shared cache and the shared invariants for you.
 Search_result exhaustive_engine(const Eval_context& ctx,
-                                const core::Rmap& restrictions,
-                                const Exhaustive_options& options = {});
-
-/// Deprecated shim: builds a one-shot solver::Session over (ctx,
-/// restrictions) and runs the `exhaustive_bb` strategy — bit-identical
-/// best tuple to exhaustive_engine for any thread count (pinned by
-/// tests/test_solver.cpp and the bench cross-check).
-[[deprecated("use solver::Session::solve(\"exhaustive_bb\")")]]
-Search_result exhaustive_search(const Eval_context& ctx,
                                 const core::Rmap& restrictions,
                                 const Exhaustive_options& options = {});
 

@@ -373,7 +373,4 @@ Search_result hill_climb_engine(const Eval_context& ctx,
     return result;
 }
 
-// The deprecated hill_climb_search shim lives in solver/compat.cpp
-// (see the note in exhaustive.cpp).
-
 }  // namespace lycos::search

@@ -72,12 +72,10 @@ struct Hill_climb_options {
     Eval_cache* shared_cache = nullptr;
 
     /// Shared immutable frames/invariants for the per-worker caches
-    /// (see Exhaustive_options::invariants; engine-level, ignored by
-    /// the deprecated shim).
+    /// (see Exhaustive_options::invariants).
     std::shared_ptr<const Eval_invariants> invariants;
 
-    /// Caller-owned thread pool (see Exhaustive_options::pool;
-    /// engine-level, ignored by the deprecated shim).
+    /// Caller-owned thread pool (see Exhaustive_options::pool).
     util::Thread_pool* pool = nullptr;
 
     /// Session-persistent per-worker DP workspaces (see
@@ -105,16 +103,6 @@ struct Hill_climb_options {
 /// This is the engine behind the solver's `hill_climb` strategy;
 /// prefer driving it through a solver::Session.
 Search_result hill_climb_engine(const Eval_context& ctx,
-                                const core::Rmap& restrictions,
-                                const Hill_climb_options& options,
-                                util::Rng& rng);
-
-/// Deprecated shim: builds a one-shot solver::Session over (ctx,
-/// restrictions) and runs the `hill_climb` strategy with `rng` as the
-/// start-point source — bit-identical to hill_climb_engine for any
-/// thread count (pinned by tests/test_solver.cpp).
-[[deprecated("use solver::Session::solve(\"hill_climb\")")]]
-Search_result hill_climb_search(const Eval_context& ctx,
                                 const core::Rmap& restrictions,
                                 const Hill_climb_options& options,
                                 util::Rng& rng);

@@ -123,12 +123,6 @@ struct Request {
     /// Auto-pick threshold, as Session::exhaustive_limit.
     long long exhaustive_limit = 30000;
 
-    /// Re-score the winning datapath at the exact quantum on the warm
-    /// session cache and fold the lookups into the returned stats —
-    /// the coarse-search/fine-rescore flow of the retired find_best
-    /// shim.  Single-ASIC rungs only.
-    bool rescore_fine = false;
-
     /// Chaos-campaign fault plan (tests only; default unarmed).
     Chaos_plan chaos;
 };
@@ -171,8 +165,7 @@ struct Response {
 /// Service configuration.
 struct Server_options {
     /// Worker threads draining the queue.  0 = no threads: submit()
-    /// executes the request inline and returns a ready future (the
-    /// one-shot mode the retired find_best shim runs in).
+    /// executes the request inline and returns a ready future.
     int n_workers = 1;
     std::size_t queue_capacity = 64;
 

@@ -524,13 +524,6 @@ struct Server::Impl {
                 const std::lock_guard lk(mu);
                 ++stats.warm_hits;
             }
-            if (p.req.rescore_fine && !resp.result.multi.active) {
-                const auto before = session.cache().stats();
-                resp.result.best =
-                    session.rescore(resp.result.best.datapath);
-                resp.result.cache_stats +=
-                    session.cache().stats().minus(before);
-            }
             resp.result.batch_size = batch_size;
             // Per-family service observability: the answered request's
             // cache activity and cross-request warm-start rows, folded

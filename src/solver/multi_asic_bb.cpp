@@ -254,14 +254,12 @@ Solve_result solve_multi_asic_bb(Session& session,
     // time-to-beat from the greedy probe pair so every worker prunes
     // from the start.  The probes run on worker 0's cache so the
     // first chunk starts warm — but only when caching is on: an
-    // uncached solve must not mutate the caller's shared cache or
-    // instantiate the session one, so it probes on a throwaway.
+    // uncached solve must not instantiate the session cache, so it
+    // probes on a throwaway.
     search::Eval_cache* chunk0_cache = nullptr;
     search::Eval_cache_stats shared_before;
     if (options.use_cache) {
-        chunk0_cache = options.shared_cache != nullptr
-                           ? options.shared_cache
-                           : &session.cache(options.cache_capacity);
+        chunk0_cache = &session.cache(options.cache_capacity);
         shared_before = chunk0_cache->stats();
     }
 
@@ -326,7 +324,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     out.n_threads = static_cast<int>(n_threads);
 
     // Session-persistent DP workspaces: worker c's Multi_pace_workspace
-    // (sparse state sets, frontier rows, traceback arena) lives on pool
+    // (sparse state sets, traceback arena, merge scratch) lives on pool
     // slot c, so its grow-only buffers survive between solves and a
     // repeat solve pays no re-allocation — the multi-ASIC share of the
     // serve layer's cross-request reuse.

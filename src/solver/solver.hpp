@@ -1,11 +1,9 @@
 // lycos::solver — the unified session API over the §5 methodology.
 //
 // The paper's pipeline is one loop — allocate, schedule, PACE-
-// partition, score — but the repo grew four divergent entry points
-// for it (exhaustive_search, hill_climb_search, find_best,
-// multi_pace_partition), each with its own options struct and with
-// caches, workspaces and thread pools threaded by every caller.  This
-// module is the facade that owns all of that once:
+// partition, score.  This module is the one entry point for it and
+// owns, once, the caches, workspaces and thread pools every search
+// needs:
 //
 //   Problem   what to solve: BSBs, target ASIC(s), restrictions and
 //             the objective — a pure description, no machinery.
@@ -19,14 +17,12 @@
 //             (iterated restarts with value-DP screening), and
 //             `multi_asic_bb` — the first multi-ASIC allocation
 //             *search*, enumerating two-ASIC allocation pairs over
-//             the frontier DP.
+//             the Pareto-sparse DP.
 //
 // Determinism contract (all strategies): the best tuple is
 // bit-identical for any thread count, any chunking, any cache
-// capacity, shared or private invariants.  The old free functions
-// survive as thin deprecated shims delegating to a one-shot Session,
-// pinned bit-identical by tests/test_solver.cpp and the CI bench
-// cross-check.
+// capacity, shared or private invariants, and for a reused Session
+// as for a fresh one (pinned by tests/test_solver.cpp).
 #pragma once
 
 #include <array>
@@ -44,14 +40,12 @@
 #include "search/evaluate.hpp"
 #include "util/cancel.hpp"
 #include "util/chunk_range.hpp"
-#include "util/rng.hpp"
 
 namespace lycos::util {
 class Thread_pool;
 }
 
 namespace lycos::search {
-struct Search_result;
 class Dp_workspace_pool;
 }
 
@@ -114,21 +108,13 @@ struct Problem {
     std::vector<Problem_defect> validate() const;
 };
 
-/// Problem from an existing Eval_context + restrictions — what the
-/// deprecated shims (and callers mid-migration) use.
-Problem make_problem(const search::Eval_context& ctx,
-                     const core::Rmap& restrictions);
-
 /// Extra knobs of the `hill_climb` strategy.
 struct Hill_climb_extras {
     int n_restarts = 12;  ///< restart 0 = empty allocation, rest random
     int max_steps = 128;  ///< safety bound per climb
     /// Start points are drawn from this seed in restart order (the
-    /// repo's fixed reproducible seed by default)...
+    /// repo's fixed reproducible seed by default).
     std::uint64_t seed = 0xD47E1998;
-    /// ...or from this live generator when non-null (the deprecated
-    /// shim passes its caller's rng through here).
-    util::Rng* rng = nullptr;
 };
 
 /// Extra knobs of the `multi_asic_bb` strategy.
@@ -173,10 +159,6 @@ struct Solve_options {
     bool use_cache = true;    ///< memoize per-BSB scheduling (see above)
     bool use_pruning = true;  ///< branch-and-bound / screening prunes
     std::size_t cache_capacity = 0;  ///< per-worker cache cap (0 = unbounded)
-
-    /// Caller-owned cache for worker 0 instead of the session's (the
-    /// deprecated shims pass their caller's cache through here).
-    search::Eval_cache* shared_cache = nullptr;
 
     // --- Deadlines, budgets, and anytime results (docs/api.md) ---
     // When any of these is armed, Session::solve builds a
@@ -334,9 +316,6 @@ struct Solve_result {
     Multi_solve_result multi;
     Dist_solve_result dist;
 };
-
-/// Shim helper: the old Search_result view of a Solve_result.
-search::Search_result to_search_result(const Solve_result& result);
 
 class Session;
 

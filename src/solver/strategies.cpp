@@ -70,9 +70,7 @@ Solve_result solve_exhaustive_bb(Session& session,
     eo.use_pruning = options.use_pruning;
     eo.cache_capacity = options.cache_capacity;
     if (options.use_cache)
-        eo.shared_cache = options.shared_cache != nullptr
-                              ? options.shared_cache
-                              : &session.cache(options.cache_capacity);
+        eo.shared_cache = &session.cache(options.cache_capacity);
     eo.invariants = session.invariants();
     eo.pool = pool_for(session, options.n_threads,
                        options.window.whole() ? session.space_size()
@@ -102,15 +100,12 @@ Solve_result solve_hill_climb(Session& session, const Solve_options& options)
     ho.use_proxy_screen = options.use_pruning;
     ho.cache_capacity = options.cache_capacity;
     if (options.use_cache)
-        ho.shared_cache = options.shared_cache != nullptr
-                              ? options.shared_cache
-                              : &session.cache(options.cache_capacity);
+        ho.shared_cache = &session.cache(options.cache_capacity);
     ho.invariants = session.invariants();
     ho.pool = pool_for(session, options.n_threads, extras.n_restarts);
     ho.dp_pool = &session.workspaces();
     ho.cancel = options.cancel;
-    util::Rng seeded(extras.seed);
-    util::Rng& rng = extras.rng != nullptr ? *extras.rng : seeded;
+    util::Rng rng(extras.seed);
     return from_search_result(
         "hill_climb",
         search::hill_climb_engine(session.context(),
@@ -149,7 +144,7 @@ const Registered<detail::solve_hill_climb> k_hill_climb{
     "iterated steepest-ascent restarts with value-DP screening"};
 const Registered<detail::solve_multi_asic_bb> k_multi_asic_bb{
     "multi_asic_bb",
-    "bounded search over two-ASIC allocation pairs (frontier DP)"};
+    "bounded search over two-ASIC allocation pairs (Pareto-sparse DP)"};
 
 const Strategy* const k_registry[] = {&k_exhaustive_bb, &k_hill_climb,
                                       &k_multi_asic_bb};

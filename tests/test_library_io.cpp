@@ -79,3 +79,22 @@ TEST(LibraryIo, rejects_invariant_violations)
                  std::invalid_argument);
     EXPECT_THROW(lh::parse_library("a add 10 0\n"), std::invalid_argument);
 }
+
+// Each error carries its "library line N: " prefix exactly once,
+// whether the operation list or Hw_library::add rejected the row.
+TEST(LibraryIo, error_prefix_appears_once)
+{
+    const std::string prefix = "library line 1: ";
+    for (const char* text : {"adder bogus 100 1\n", "adder add 0 1\n"}) {
+        try {
+            lh::parse_library(text);
+            ADD_FAILURE() << "expected invalid_argument for " << text;
+        }
+        catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.find(prefix), 0u) << what;
+            EXPECT_EQ(what.find(prefix, prefix.size()), std::string::npos)
+                << what;
+        }
+    }
+}

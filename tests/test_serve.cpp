@@ -442,24 +442,6 @@ TEST(ServeIncumbent, session_pool_reuses_identical_problems)
     EXPECT_EQ(server.stats().sessions_reused, 1u);
 }
 
-TEST(ServeIncumbent, rescore_fine_refines_at_exact_quantum)
-{
-    const auto lib = small_library();
-    const auto bsbs = small_app();
-    lse::Server server({.n_workers = 0});
-    auto req = small_request(lib, bsbs);
-    req.rescore_fine = true;
-    const auto r = server.solve(std::move(req));
-    ASSERT_EQ(r.status, lse::Request_status::complete);
-
-    lso::Session session(small_problem(lib, bsbs));
-    const auto direct = session.solve({.n_threads = 1});
-    const auto refined = session.rescore(direct.best.datapath);
-    EXPECT_EQ(r.result.best.datapath, refined.datapath);
-    EXPECT_EQ(r.result.best.partition.time_hybrid_ns,
-              refined.partition.time_hybrid_ns);
-}
-
 // ------------------------------------------------------------ batching
 
 // Randomized batch compositions: two problem families, mixed

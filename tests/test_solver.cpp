@@ -1,9 +1,8 @@
 // Tests for the lycos::solver session API: the strategy registry, the
-// shim-vs-session equivalence contract (the deprecated free functions
-// must reproduce the Session results bit for bit for any thread
-// count), shared-invariants vs per-worker-recompute equivalence, and
-// the multi_asic_bb determinism contract (best pair independent of
-// chunking, equal to a brute-force pair scan).
+// reused-vs-fresh Session equivalence contract (bit-identical results
+// for any thread count), shared-invariants vs per-worker-recompute
+// equivalence, and the multi_asic_bb determinism contract (best pair
+// independent of chunking, equal to a brute-force pair scan).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -18,7 +17,6 @@
 #include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
 #include "search/exhaustive.hpp"
-#include "search/hill_climb.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
 
@@ -188,76 +186,47 @@ TEST(Session, rescore_runs_on_warm_cache)
     EXPECT_EQ(rescored.datapath_area, uncached.datapath_area);
 }
 
-// The deprecated free functions are thin shims over a one-shot
-// Session; the acceptance contract pins them bit-identical to the
-// Session API for any thread count.
-TEST(Shims, exhaustive_search_matches_session_any_thread_count)
+// A reused Session (warm shared cache, warm DP workspaces, one thread
+// pool) answers every solve exactly like a fresh Session per solve,
+// for any thread count.
+TEST(Session, reused_matches_fresh_any_thread_count)
 {
-    lycos::util::Rng rng(91);
     const auto lib = lh::make_default_library();
-    for (int trial = 0; trial < 4; ++trial) {
-        std::vector<lb::Bsb> bsbs;
-        lh::Target target;
-        lc::Rmap bounds;
-        const auto p = random_problem(rng, lib, bsbs, target, bounds);
-        const lse::Eval_context ctx{bsbs, lib, target, p.ctrl_mode,
-                                    p.area_quantum};
+    lso::Hill_climb_extras hill;
+    hill.n_restarts = 6;
+    hill.max_steps = 32;
+    hill.seed = 7;
+    for (const std::uint64_t seed : {91u, 92u}) {
+        lycos::util::Rng rng(seed);
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<lb::Bsb> bsbs;
+            lh::Target target;
+            lc::Rmap bounds;
+            const auto p = random_problem(rng, lib, bsbs, target, bounds);
 
-        lso::Session session(p);
-        for (int n_threads : {1, 2, 5}) {
-            const auto via_session = session.solve(
-                "exhaustive_bb", {.n_threads = n_threads});
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-            const auto via_shim = lse::exhaustive_search(
-                ctx, bounds, {.n_threads = n_threads});
-#pragma GCC diagnostic pop
-            expect_same_tuple(via_shim.best, via_session.best,
-                              "exhaustive shim");
-            EXPECT_EQ(via_shim.space_size, via_session.space_size);
-        }
-    }
-}
+            lso::Session reused(p);
+            for (int n_threads : {1, 2, 5}) {
+                const lso::Solve_options exh{.n_threads = n_threads};
+                const auto exh_warm = reused.solve("exhaustive_bb", exh);
+                const auto exh_cold =
+                    lso::Session(p).solve("exhaustive_bb", exh);
+                expect_same_tuple(exh_warm.best, exh_cold.best,
+                                  "exhaustive_bb");
+                EXPECT_EQ(exh_warm.space_size, exh_cold.space_size);
 
-TEST(Shims, hill_climb_search_matches_session_any_thread_count)
-{
-    lycos::util::Rng rng(92);
-    const auto lib = lh::make_default_library();
-    for (int trial = 0; trial < 4; ++trial) {
-        std::vector<lb::Bsb> bsbs;
-        lh::Target target;
-        lc::Rmap bounds;
-        const auto p = random_problem(rng, lib, bsbs, target, bounds);
-        const lse::Eval_context ctx{bsbs, lib, target, p.ctrl_mode,
-                                    p.area_quantum};
-
-        lso::Session session(p);
-        for (int n_threads : {1, 2, 5}) {
-            lso::Hill_climb_extras extras;
-            extras.n_restarts = 6;
-            extras.max_steps = 32;
-            extras.seed = 7;
-            lso::Solve_options opts;
-            opts.n_threads = n_threads;
-            opts.extras = extras;
-            const auto via_session = session.solve("hill_climb", opts);
-
-            lycos::util::Rng shim_rng(7);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-            const auto via_shim = lse::hill_climb_search(
-                ctx, bounds,
-                {.n_restarts = 6, .max_steps = 32, .n_threads = n_threads},
-                shim_rng);
-#pragma GCC diagnostic pop
-            expect_same_tuple(via_shim.best, via_session.best,
-                              "hill climb shim");
-            // The evaluated/proxy-pruned split depends on cache
-            // warmth (the session reuses its cache across solves, the
-            // one-shot shim starts cold); the considered-neighbour
-            // total is trajectory-determined and must match.
-            EXPECT_EQ(via_shim.n_evaluated + via_shim.n_pruned,
-                      via_session.n_evaluated + via_session.n_pruned);
+                lso::Solve_options climb{.n_threads = n_threads};
+                climb.extras = hill;
+                const auto hill_warm = reused.solve("hill_climb", climb);
+                const auto hill_cold =
+                    lso::Session(p).solve("hill_climb", climb);
+                expect_same_tuple(hill_warm.best, hill_cold.best,
+                                  "hill_climb");
+                // The evaluated/proxy-pruned split depends on cache
+                // warmth; the considered-neighbour total is
+                // trajectory-determined and must match.
+                EXPECT_EQ(hill_warm.n_evaluated + hill_warm.n_pruned,
+                          hill_cold.n_evaluated + hill_cold.n_pruned);
+            }
         }
     }
 }

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bench_gates.hpp"
 #include "apps/apps.hpp"
 #include "dist/dist.hpp"
 #include "core/allocator.hpp"
@@ -30,7 +31,6 @@
 #include "minic/lexer.hpp"
 #include "minic/lower.hpp"
 #include "minic/parser.hpp"
-#include "search/search_bench.hpp"
 #include "serve/trace.hpp"
 #include "solver/solver.hpp"
 #include "util/args.hpp"
@@ -142,10 +142,11 @@ int main(int argc, char** argv)
     args.add_option("cache-cap", "0",
                     "entry cap per search evaluation cache (0 = unbounded; "
                     "bounded caches evict segment-wise, results identical)");
-    args.add_option("pair-limit", "0",
+    args.add_option("pair-limit",
+                    std::to_string(solver::Multi_asic_extras{}.pair_limit),
                     "multi_asic_bb: soft cap on walked two-ASIC pairs; "
                     "pairs beyond it are skipped deterministically and "
-                    "reported (0 = strategy default)");
+                    "reported (<= 0 = unlimited)");
     args.add_option("deadline-ms", "0",
                     "wall-clock budget for --search in milliseconds; on "
                     "expiry the solve stops cooperatively and reports the "
@@ -154,8 +155,9 @@ int main(int argc, char** argv)
                     "cap on scored points for --search; the solve degrades "
                     "to an anytime result when it trips (0 = unlimited)");
     args.add_option("bench-json", "",
-                    "run the old-vs-new search benchmark and write the "
-                    "BENCH_search.json report to this path, then exit");
+                    "run the bench gate suite and write its "
+                    "BENCH_search.json report to this path, then exit "
+                    "(non-zero when any gate fails)");
     args.add_option("serve-trace", "",
                     "replay a request trace file through the serving layer "
                     "and print the per-request outcomes and latency table, "
@@ -237,11 +239,11 @@ int main(int argc, char** argv)
         }
     }
 
-    // Benchmark mode: measure old-vs-new search throughput and write
-    // the JSON report (needs no application input; CI calls this).
+    // Benchmark mode: run the gate suite and write the JSON report
+    // (needs no application input; CI calls this).
     if (!args.value("bench-json").empty())
-        return search::write_bench_report(args.value("bench-json"),
-                                          std::cout, std::cerr);
+        return gates::write_bench_report(args.value("bench-json"),
+                                         std::cout, std::cerr);
 
     // Trace replay mode: feed the serving layer from a request file
     // (the CI chaos job archives the latency table this prints).
@@ -428,8 +430,7 @@ int main(int argc, char** argv)
         const std::string search_name = args.value("search");
         // Loud, not silent: the cap only means something to the pair
         // search (auto never picks it, "none" runs no search at all).
-        if (std::stoll(args.value("pair-limit")) > 0 &&
-            search_name != "multi_asic_bb") {
+        if (args.was_set("pair-limit") && search_name != "multi_asic_bb") {
             std::cerr << "error: --pair-limit only applies to "
                          "--search multi_asic_bb\n";
             return 2;
@@ -466,10 +467,9 @@ int main(int argc, char** argv)
             opts.deadline_ms = std::stod(args.value("deadline-ms"));
             opts.max_evals = static_cast<std::uint64_t>(
                 std::stoll(args.value("max-evals")));
-            const auto pair_limit = std::stoll(args.value("pair-limit"));
-            if (pair_limit > 0)
-                opts.extras =
-                    solver::Multi_asic_extras{.pair_limit = pair_limit};
+            if (args.was_set("pair-limit"))
+                opts.extras = solver::Multi_asic_extras{
+                    .pair_limit = std::stoll(args.value("pair-limit"))};
 
             solver::Solve_result best;
             if (!args.value("coordinator").empty()) {
