@@ -234,6 +234,9 @@ solver::Solve_result solve_distributed(const solver::Problem& problem,
             extras.pair_limit > 0 ? std::min(pairs, extras.pair_limit)
                                   : pairs;
         out.multi.pairs_skipped = pairs - walked;
+        // A truncated walk is a best-of-prefix, as in the local engine.
+        if (out.multi.pairs_skipped > 0)
+            out.status = util::Solve_status::budget;
     }
     else {
         out.space_size = session.space_size();

@@ -5,7 +5,7 @@
 // checkpoint (pace.hpp) died with the solve that wrote it, and a
 // follow-up solve of the same problem re-swept rows the incremental
 // machinery already knew.  A Dp_workspace_pool moves those per-worker
-// workspaces into the owning solver::Session: chunk c of every solve
+// workspaces into the owning solver::Session: worker c of every solve
 // runs on slot c, the checkpoints survive *between* solves, and a
 // later solve resumes at the first divergent cost row exactly as
 // within-solve reuse does — the (quantum, width) fingerprint plus the
@@ -15,10 +15,17 @@
 // slots' warm checkpoints, reported as
 // Solve_result::dp_rows_reused_cross_request.
 //
-// Threading contract: prepare() is single-threaded (call it before
-// dispatching workers); afterwards distinct workers may use distinct
-// slots concurrently.  Sessions run one solve at a time, which is the
-// only serialization this needs.
+// Beside the slots sits one solve-wide buffer, axis_costs(): the
+// multi_asic_bb a1-axis cost table, filled before the workers start
+// and only read while they run.  Keeping it here lets repeat solves on
+// one session (distributed leases, serve batches) refill it in place
+// instead of re-allocating it.
+//
+// Threading contract: prepare() and axis_costs() writes are
+// single-threaded (before dispatching workers); afterwards distinct
+// workers may use distinct slots concurrently and read axis_costs().
+// Sessions run one solve at a time, which is the only serialization
+// this needs.
 #pragma once
 
 #include <cstddef>
@@ -56,14 +63,19 @@ public:
             s->pace.begin_pass();
     }
 
-    /// Slot for worker/chunk `c`; valid until the pool grows (prepare
-    /// never shrinks, so slot references live across solves).
+    /// Slot for worker `c`; valid until the pool grows (prepare never
+    /// shrinks, so slot references live across solves).
     Slot& slot(std::size_t c) { return *slots_[c]; }
 
     std::size_t size() const { return slots_.size(); }
 
+    /// The solve-wide a1-axis cost table (point-major, one
+    /// pace::Bsb_cost per BSB); its capacity only grows.
+    std::vector<pace::Bsb_cost>& axis_costs() { return axis_costs_; }
+
 private:
     std::vector<std::unique_ptr<Slot>> slots_;
+    std::vector<pace::Bsb_cost> axis_costs_;
 };
 
 }  // namespace lycos::search

@@ -22,29 +22,38 @@
 //   * surviving rows run the PR 4 per-pair ladder: multi_max_gain,
 //     then the sparse screening DP, then the full sparse partition
 //     with traceback — all over the Pareto-sparse state sets now,
-//   * rows are dispatched chunk-parallel over the Session pool (one
-//     contiguous row range per worker, private Eval_cache and
-//     Multi_pace_workspace, in-order reduction),
+//   * the a1 axis costs are fetched once per solve into an immutable
+//     point x BSB table (held in the session's workspace pool) that
+//     every worker and the row relaxation read; only the a0 row costs
+//     go through a worker's Eval_cache, once per row,
+//   * rows are claimed dynamically, in increasing order, from one
+//     atomic cursor by n_threads workers over the Session pool; the
+//     workers share one in-process incumbent bound, and the reduce
+//     takes the lexicographic minimum of (time, combined area, pair
+//     index) over the workers' bests,
 //   * pair_limit is a *soft* guard: a pair space beyond it is walked
 //     up to exactly pair_limit pairs in a0-major order —
-//     deterministically, whatever the chunking — with the remainder
-//     reported as Multi_solve_result::pairs_skipped instead of
-//     thrown.  Incumbent priming is disabled in that case, so every
-//     prune compares against a pair inside the walked prefix and the
-//     best pair equals the brute-force best of the prefix.
+//     deterministically, whatever the thread count — with the
+//     remainder reported as Multi_solve_result::pairs_skipped and the
+//     status as Solve_status::budget instead of thrown.  Incumbent
+//     priming is disabled in that case, so every prune compares
+//     against a pair inside the walked prefix and the best pair
+//     equals the brute-force best of the prefix.
 //
 // Every prune (row or pair) removes only pairs provably worse in
-// time than a pair that is actually evaluated, and the reduction
-// applies the same strict comparison in enumeration order — so the
-// best (time, combined area, pair) tuple is bit-identical to the
-// brute-force pair scan for any thread count, chunking, or bound
-// setting, the determinism contract all strategies carry.
+// time than a pair that is actually evaluated, and each worker keeps
+// the first of its tied bests in enumeration order — so the best
+// (time, combined area, pair) tuple is bit-identical to the
+// brute-force pair scan for any thread count, claim interleaving, or
+// bound setting, the determinism contract all strategies carry.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 
 #include "search/alloc_space.hpp"
 #include "search/workspace_pool.hpp"
@@ -69,7 +78,7 @@ struct Axis_point {
 /// building the filtered point lists.
 constexpr long long k_axis_enum_limit = 1LL << 22;
 
-/// What one worker accumulates over its chunk of the row range.
+/// What one worker accumulates over the rows it claimed.
 struct Pair_chunk {
     bool have_best = false;
     double best_time = 0.0;
@@ -91,7 +100,8 @@ struct Pair_chunk {
 
 /// Fill the a0 half of the combined costs (t_sw is allocation-
 /// independent and rides along).  Done once per a0 row of the walk;
-/// set_asic1_costs patches only the a1 half per pair.
+/// set_asic1_costs patches only the a1 half, for the pairs that reach
+/// a DP.
 void set_asic0_costs(std::span<const pace::Bsb_cost> c0,
                      std::vector<pace::Multi_bsb_cost>& out)
 {
@@ -130,17 +140,19 @@ struct Axis_relaxation {
     double min_area = 0.0;  ///< smallest data-path area on the axis
 };
 
+/// Relaxation over the first axis.size() points of the a1 cost table
+/// (`table` holds n_bsbs costs per point, point-major).
 Axis_relaxation relax_axis(std::span<const Axis_point> axis,
-                           search::Eval_cache& cache,
-                           std::vector<pace::Bsb_cost>& scratch)
+                           std::span<const pace::Bsb_cost> table,
+                           std::size_t n_bsbs)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
     Axis_relaxation r;
     r.min_area = inf;
-    for (const auto& point : axis) {
-        cache.costs_for(point.alloc, scratch);
+    for (std::size_t j = 0; j < axis.size(); ++j) {
+        const auto costs = table.subspan(j * n_bsbs, n_bsbs);
         if (r.best_case.empty()) {
-            r.best_case = scratch;
+            r.best_case.assign(costs.begin(), costs.end());
             for (auto& c : r.best_case)
                 if (std::isinf(c.t_hw)) {
                     c.comm = 0.0;
@@ -148,9 +160,9 @@ Axis_relaxation relax_axis(std::span<const Axis_point> axis,
                 }
         }
         else {
-            for (std::size_t k = 0; k < scratch.size(); ++k) {
+            for (std::size_t k = 0; k < costs.size(); ++k) {
                 auto& b = r.best_case[k];
-                const auto& c = scratch[k];
+                const auto& c = costs[k];
                 if (std::isinf(c.t_hw))
                     continue;
                 if (std::isinf(b.t_hw)) {
@@ -163,7 +175,7 @@ Axis_relaxation relax_axis(std::span<const Axis_point> axis,
                 b.save_prev = std::max(b.save_prev, c.save_prev);
             }
         }
-        r.min_area = std::min(r.min_area, point.area);
+        r.min_area = std::min(r.min_area, axis[j].area);
     }
     if (std::isinf(r.min_area))
         r.min_area = 0.0;
@@ -219,6 +231,10 @@ Solve_result solve_multi_asic_bb(Session& session,
     out.multi.asic_areas = budgets;
     out.multi.axis_points = {f0, f1};
     out.multi.pairs_skipped = pairs - walked;
+    // A best-of-prefix is an anytime result, never `complete`: the
+    // skipped pairs were cut by the pair budget.
+    if (out.multi.pairs_skipped > 0)
+        out.status = util::Solve_status::budget;
     if (walked == 0) {
         out.seconds = timer.seconds();
         return out;
@@ -250,12 +266,12 @@ Solve_result solve_multi_asic_bb(Session& session,
     const auto invariants = session.invariants();
 
     // Shared prep: the all-software baseline, the float-safety slack,
-    // the asic1 axis relaxation behind the row bound, and a primed
-    // time-to-beat from the greedy probe pair so every worker prunes
-    // from the start.  The probes run on worker 0's cache so the
-    // first chunk starts warm — but only when caching is on: an
-    // uncached solve must not instantiate the session cache, so it
-    // probes on a throwaway.
+    // the a1 cost table and its relaxation behind the row bound, and a
+    // primed time-to-beat from the greedy probe pair so every worker
+    // prunes from the start.  The prep runs on worker 0's cache so
+    // worker 0 starts warm — but only when caching is on: an uncached
+    // solve must not instantiate the session cache, so it fetches
+    // through a throwaway.
     search::Eval_cache* chunk0_cache = nullptr;
     search::Eval_cache_stats shared_before;
     if (options.use_cache) {
@@ -264,6 +280,13 @@ Solve_result solve_multi_asic_bb(Session& session,
     }
 
     const bool use_row_bound = options.use_pruning && extras.use_row_bound;
+    const std::size_t n_bsbs = ctx.bsbs.size();
+    // Under a truncating pair_limit no row ever reaches a1 points past
+    // the walked prefix, so the table (and the relaxation over it)
+    // covers just the reachable ones.
+    const auto reachable =
+        static_cast<std::size_t>(std::min<long long>(f1, walked));
+    std::vector<pace::Bsb_cost>& table = session.workspaces().axis_costs();
     double all_sw = 0.0;
     double prime_time = std::numeric_limits<double>::infinity();
     Axis_relaxation relax1;
@@ -291,7 +314,7 @@ Solve_result solve_multi_asic_bb(Session& session,
         // Priming is only sound when the greedy pair is guaranteed to
         // be *walked*: with a truncated prefix it may lie outside, and
         // pruning against an unwalked pair could starve the prefix of
-        // its own best.  Prefix runs prune from chunk incumbents only.
+        // its own best.  Prefix runs prune from walked incumbents only.
         // A cancellation token truncates the same way (at an index
         // unknown in advance), so it disables priming identically.
         if (options.use_pruning && out.multi.pairs_skipped == 0 &&
@@ -304,19 +327,21 @@ Solve_result solve_multi_asic_bb(Session& session,
             prime_time =
                 all_sw - pace::multi_pace_best_saving(probe_costs, mo, &mws);
         }
-        if (use_row_bound) {
-            // Under a truncating pair_limit no row ever reaches axis
-            // points past the walked prefix — relaxing over just the
-            // reachable ones is cheaper (they are scheduled serially
-            // here) and a tighter, still admissible bound.
-            const auto reachable = static_cast<std::size_t>(
-                std::min<long long>(f1, walked));
+        // The a1 cost table: every pair of every row reads its a1 half
+        // here instead of re-fetching it from a cache per pair.
+        table.resize(reachable * n_bsbs);
+        for (std::size_t j = 0; j < reachable; ++j) {
+            prep.costs_for(axis[1][j].alloc, probe1);
+            std::copy(probe1.begin(), probe1.end(),
+                      table.begin() + static_cast<std::ptrdiff_t>(j * n_bsbs));
+        }
+        if (use_row_bound)
             relax1 = relax_axis(
                 std::span<const Axis_point>(axis[1]).first(reachable),
-                prep, probe1);
-        }
+                table, n_bsbs);
     }
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
+    const std::span<const pace::Bsb_cost> costs1_table(table);
 
     const std::size_t n_threads = util::clamp_chunks(
         options.n_threads, util::Thread_pool::default_concurrency(),
@@ -330,8 +355,19 @@ Solve_result solve_multi_asic_bb(Session& session,
     // serve layer's cross-request reuse.
     session.workspaces().prepare(n_threads);
     std::vector<Pair_chunk> chunks(n_threads);
-    const auto run_chunk = [&](std::size_t c, long long row_begin,
-                               long long row_end) {
+    // Workers claim rows of [r_begin, r_end) from this cursor, each in
+    // increasing order: row costs vary widely, and a worker that runs
+    // out of work takes the next row instead of idling while another
+    // finishes a slow fixed range.
+    std::atomic<long long> next_row{r_begin};
+    // The in-process incumbent: the best fully evaluated time of any
+    // worker so far (so it also holds each worker's own best).
+    // Admissible like the external bound — every value is a real
+    // evaluated pair's time — so sharing it only prunes more, never
+    // changes the winner.
+    util::Shared_bound incumbent;
+    const util::Shared_bound* ext = options.incumbent_bound;
+    const auto run_worker = [&](std::size_t c) {
         Pair_chunk& chunk = chunks[c];
         search::Eval_cache* cache = nullptr;
         std::optional<search::Eval_cache> own_cache;
@@ -339,7 +375,7 @@ Solve_result solve_multi_asic_bb(Session& session,
             cache = chunk0_cache;
         if (cache == nullptr) {
             // Workers 1..n-1 — and every worker of an uncached run —
-            // use a private cache; the pair walk always fetches costs
+            // use a private cache; the row walk always fetches costs
             // through one (memoized values are bit-identical to
             // direct builds), uncached mode just drops the sharing.
             own_cache.emplace(ctx, options.cache_capacity, invariants);
@@ -347,31 +383,33 @@ Solve_result solve_multi_asic_bb(Session& session,
         }
 
         std::vector<pace::Bsb_cost> costs0;
-        std::vector<pace::Bsb_cost> costs1;
         std::vector<pace::Multi_bsb_cost> mcosts;
         // Per-worker workspace from the session pool: this lambda IS
-        // the task body, and distinct chunks use distinct slots.
+        // the task body, and distinct workers use distinct slots.
         pace::Multi_pace_workspace& mws =
             session.workspaces().slot(c).multi;
         // External incumbent (a distributed coordinator's broadcast):
         // admissible by the Shared_bound contract, so min()ing it into
         // every threshold only removes pairs provably worse than a
         // fully evaluated real pair — the winning tuple is unchanged.
-        const util::Shared_bound* ext = options.incumbent_bound;
         double ext_val = std::numeric_limits<double>::infinity();
-        for (long long i = row_begin; i < row_end; ++i) {
+        for (;;) {
+            const long long i =
+                next_row.fetch_add(1, std::memory_order_relaxed);
+            if (i >= r_end)
+                break;
             // Admission gate per a0 row — the thread-invariant work
             // unit: an injected cut walks exactly the rows below it,
-            // whatever the chunking, so truncated incumbents stay
-            // bit-identical for any thread count.
+            // whatever the thread count, so truncated incumbents stay
+            // bit-identical.  A tripped token stops the claiming; rows
+            // nobody claimed are counted as abandoned after the walk.
             if (options.cancel != nullptr &&
                 !options.cancel->admit(static_cast<std::uint64_t>(i))) {
+                ++chunk.rows_abandoned;
                 if (options.cancel->tripped()) {
-                    chunk.rows_abandoned += row_end - i;
                     chunk.stopped = true;
                     break;
                 }
-                ++chunk.rows_abandoned;
                 continue;
             }
             const auto& p0 = axis[0][static_cast<std::size_t>(i)];
@@ -381,9 +419,7 @@ Solve_result solve_multi_asic_bb(Session& session,
             set_asic0_costs(costs0, mcosts);
             ++chunk.rows_visited;
 
-            const double local_row =
-                chunk.have_best ? std::min(prime_time, chunk.best_time)
-                                : prime_time;
+            const double local_row = std::min(prime_time, incumbent.get());
             if (ext != nullptr)
                 ext_val = ext->get();
             const double threshold_row = std::min(local_row, ext_val);
@@ -427,20 +463,19 @@ Solve_result solve_multi_asic_bb(Session& session,
 
             for (long long j = 0; j < j_end; ++j) {
                 // Live-condition poll once per pair: a tripped token
-                // abandons the rest of the chunk's rows and keeps the
+                // abandons this row, stops the claiming and keeps the
                 // incumbent found so far.
                 if (options.cancel != nullptr && options.cancel->stop()) {
-                    chunk.rows_abandoned += row_end - i;
+                    ++chunk.rows_abandoned;
                     chunk.stopped = true;
                     break;
                 }
                 const auto& p1 = axis[1][static_cast<std::size_t>(j)];
-                cache->costs_for(p1.alloc, costs1);
-                set_asic1_costs(costs1, mcosts);
+                const auto costs1 = costs1_table.subspan(
+                    static_cast<std::size_t>(j) * n_bsbs, n_bsbs);
 
                 const double local_thr =
-                    chunk.have_best ? std::min(prime_time, chunk.best_time)
-                                    : prime_time;
+                    std::min(prime_time, incumbent.get());
                 if (ext != nullptr)
                     ext_val = ext->get();
                 const double threshold = std::min(local_thr, ext_val);
@@ -456,13 +491,16 @@ Solve_result solve_multi_asic_bb(Session& session,
                     // save more than multi_max_gain, whatever the
                     // controller areas turn out to be.
                     const double gain_time =
-                        all_sw - pace::multi_max_gain(mcosts);
+                        all_sw - pace::multi_max_gain(costs0, costs1);
                     if (gain_time > threshold + slack) {
                         ++chunk.n_pruned;
                         if (!(gain_time > local_thr + slack))
                             ++chunk.n_pruned_remote;
                         continue;
                     }
+                }
+                set_asic1_costs(costs1, mcosts);
+                if (options.use_pruning) {
                     // Screening pass: the sparse DP's optimal value
                     // without the traceback arena.  A killed pair was
                     // scored — it counts as evaluated, like the
@@ -490,6 +528,8 @@ Solve_result solve_multi_asic_bb(Session& session,
                 if (options.cancel != nullptr)
                     options.cancel->charge_evals(1);
                 const double area_sum = p0.area + p1.area;
+                // Rows and pairs arrive in increasing order, so the
+                // strict comparison keeps this worker's earliest tie.
                 if (!chunk.have_best ||
                     search::better_tuple(full.time_hybrid_ns, area_sum,
                                          chunk.best_time,
@@ -500,6 +540,7 @@ Solve_result solve_multi_asic_bb(Session& session,
                     chunk.best_j = j;
                     chunk.best_partition = full;
                     chunk.have_best = true;
+                    incumbent.tighten(full.time_hybrid_ns);
                 }
             }
             if (chunk.stopped)
@@ -512,26 +553,25 @@ Solve_result solve_multi_asic_bb(Session& session,
         }
     };
 
-    std::size_t chunks_skipped = 0;
+    std::size_t workers_skipped = 0;
     if (n_threads == 1) {
-        run_chunk(0, r_begin, r_end);
+        run_worker(0);
     }
     else {
-        const auto run_chunk_abs = [&](std::size_t c, long long begin,
-                                       long long end) {
-            run_chunk(c, r_begin + begin, r_begin + end);
-        };
-        chunks_skipped =
-            util::parallel_chunks(session.pool(n_threads), n_rows_work,
-                                  n_threads, run_chunk_abs,
-                                  options.cancel);
+        // One dispatch unit per worker; the rows are shared through
+        // the cursor, not split up front.
+        workers_skipped = util::parallel_chunks(
+            session.pool(n_threads), static_cast<long long>(n_threads),
+            n_threads,
+            [&](std::size_t c, long long, long long) { run_worker(c); },
+            options.cancel);
     }
 
-    // Reduce in chunk (= enumeration) order with the same strict
-    // comparison, so ties resolve toward the lowest pair index.
+    // Reduce to the lexicographic minimum of (time, combined area,
+    // a0-major pair index): the brute-force scan's first occurrence,
+    // whichever worker claimed which rows.
     bool have_best = false;
-    double best_time = 0.0;
-    double best_area_sum = 0.0;
+    std::tuple<double, double, long long> best_key;
     for (const auto& chunk : chunks) {
         out.n_evaluated += chunk.n_evaluated;
         out.n_pruned += chunk.n_pruned;
@@ -543,28 +583,28 @@ Solve_result solve_multi_asic_bb(Session& session,
         out.multi.dp_states_swept += chunk.dp_states_swept;
         out.multi.dp_cells_dense += chunk.dp_cells_dense;
         out.cache_stats += chunk.stats;
-        if (chunk.have_best &&
-            (!have_best || search::better_tuple(chunk.best_time,
-                                                chunk.best_area_sum,
-                                                best_time, best_area_sum))) {
-            best_time = chunk.best_time;
-            best_area_sum = chunk.best_area_sum;
-            const auto& p0 =
-                axis[0][static_cast<std::size_t>(chunk.best_i)];
-            const auto& p1 =
-                axis[1][static_cast<std::size_t>(chunk.best_j)];
-            out.multi.datapaths = {p0.alloc, p1.alloc};
-            out.multi.datapath_area = {p0.area, p1.area};
-            out.multi.partition = chunk.best_partition;
-            have_best = true;
-        }
+        if (!chunk.have_best)
+            continue;
+        const std::tuple key(chunk.best_time, chunk.best_area_sum,
+                             chunk.best_i * f1 + chunk.best_j);
+        if (have_best && !(key < best_key))
+            continue;
+        best_key = key;
+        const auto& p0 = axis[0][static_cast<std::size_t>(chunk.best_i)];
+        const auto& p1 = axis[1][static_cast<std::size_t>(chunk.best_j)];
+        out.multi.datapaths = {p0.alloc, p1.alloc};
+        out.multi.datapath_area = {p0.area, p1.area};
+        out.multi.partition = chunk.best_partition;
+        have_best = true;
     }
     out.have_best = have_best;
-    out.chunks_abandoned += static_cast<long long>(chunks_skipped);
+    out.rows_abandoned += r_end - std::min(next_row.load(), r_end);
+    out.chunks_abandoned += static_cast<long long>(workers_skipped);
     if (options.cancel != nullptr) {
-        out.status = options.cancel->status();
-        if (out.status == util::Solve_status::complete &&
-            (out.rows_abandoned > 0 || out.chunks_abandoned > 0))
+        const auto status = options.cancel->status();
+        if (status != util::Solve_status::complete)
+            out.status = status;
+        else if (out.rows_abandoned > 0 || out.chunks_abandoned > 0)
             out.status = util::Solve_status::cancelled;
     }
 

@@ -122,16 +122,17 @@ struct Multi_asic_extras {
     /// Soft cap on the walked pair space (after the per-axis area
     /// filter).  A pair space larger than this no longer throws: the
     /// search walks exactly the first `pair_limit` pairs in a0-major
-    /// order — deterministically, whatever the thread count — and
-    /// reports the rest in Multi_solve_result::pairs_skipped, so
-    /// callers degrade to a best-of-prefix instead of failing
-    /// mid-search.  The per-a0-row bound makes the default
-    /// unreachable on the standard bench spaces (whole rows die
-    /// before any pair DP runs); raise it (`lycos_cli --pair-limit`)
-    /// or set it <= 0 (unlimited) for eigen-scale spaces.  When pairs
-    /// are skipped, incumbent priming is disabled so pruning can only
-    /// compare against pairs inside the walked prefix (the best pair
-    /// stays exactly the brute-force best of that prefix).
+    /// order — deterministically, whatever the thread count — reports
+    /// the rest in Multi_solve_result::pairs_skipped and sets
+    /// Solve_result::status to `budget`, so callers degrade to a
+    /// best-of-prefix instead of failing mid-search.  The default
+    /// does bind: the eigen preset's even split has 27.39 M pairs,
+    /// and the row bound kills rows only on asymmetric splits, so
+    /// raise it (`lycos_cli --pair-limit`) or set it <= 0 (unlimited)
+    /// for eigen-scale spaces.  When pairs are skipped, incumbent
+    /// priming is disabled so pruning can only compare against pairs
+    /// inside the walked prefix (the best pair stays exactly the
+    /// brute-force best of that prefix).
     long long pair_limit = 1LL << 23;
 
     /// Branch-and-bound over the a0-major pair *tree*: before any
@@ -234,7 +235,8 @@ struct Multi_solve_result {
     long long rows_visited = 0;  ///< a0 rows walked (within the prefix)
     long long rows_pruned = 0;   ///< rows killed whole by the row bound
     /// Pairs beyond Multi_asic_extras::pair_limit, deterministically
-    /// skipped instead of thrown on (0 = the whole space was walked).
+    /// skipped instead of thrown on (0 = the whole space was walked;
+    /// > 0 makes the status `budget`).
     long long pairs_skipped = 0;
     /// Sparse-DP work across every screening/partition sweep of this
     /// solve: Pareto states actually swept vs. the dense grids the

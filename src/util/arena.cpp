@@ -23,14 +23,14 @@ void* Arena::alloc(std::size_t bytes) {
         if (size < bytes) size = bytes;
         char* base = static_cast<char*>(
             ::operator new(size, std::align_val_t{k_align}));
-        // First touch: commit the pages from the allocating (worker)
-        // thread so they land on its NUMA node.
-        std::memset(base, 0, size);
         blocks_.push_back(Block{base, size, 0});
         bytes_reserved_ += size;
     }
     Block& b = blocks_.back();
     void* p = b.base + b.used;
+    // First touch: commit the carved pages from the allocating (worker)
+    // thread so they land on its NUMA node.
+    std::memset(p, 0, bytes);
     b.used += bytes;
     bytes_allocated_ += bytes;
     return p;

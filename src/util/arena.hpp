@@ -6,11 +6,15 @@
 //     buffers live in a handful of large contiguous blocks instead of
 //     being scattered across the global heap by whichever thread
 //     freed memory last;
-//   - first touch: blocks are zero-filled by the allocating thread at
-//     carve-out time, so the OS commits their pages on the node/core
-//     that will stream them (Linux first-touch NUMA policy).  Engines
-//     construct workspaces inside the worker task body, which makes
-//     the allocating thread the sweeping thread.
+//   - first touch: each span is zero-filled by the allocating thread
+//     as it is carved out, so the OS commits its pages on the
+//     node/core that will stream them (Linux first-touch NUMA
+//     policy).  Engines construct workspaces inside the worker task
+//     body, which makes the allocating thread the sweeping thread.
+//     The unused tail of a block is never touched, so it costs
+//     address space, not resident memory — with every worker of a
+//     pair walk growing its arena, touching whole doubled blocks up
+//     front would commit up to twice what the rows use.
 //
 // Allocation is bump-pointer with 64-byte (cache-line) alignment;
 // deallocation is a no-op, everything is released when the Arena

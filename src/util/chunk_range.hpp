@@ -5,12 +5,13 @@
 //
 // All of them split the same thing — a logical unit range [0, n)
 // (mixed-radix leaf indices for the exhaustive walker, a0 rows for
-// the pair tree) — into contiguous ranges whose sizes differ by at
-// most one, earlier ranges taking the remainder.  The split is pure
-// arithmetic on (n, n_chunks, c), so a coordinator and its workers
-// derive identical ranges without communicating them, and the
-// in-order reduction over ranges is the same fold whether the ranges
-// ran on threads of one process or on sockets across machines.
+// the pair tree's leases; within one process the pair tree's workers
+// claim rows one at a time instead) — into contiguous ranges whose
+// sizes differ by at most one, earlier ranges taking the remainder.
+// The split is pure arithmetic on (n, n_chunks, c), so a coordinator
+// and its workers derive identical ranges without communicating them,
+// and the in-order reduction over ranges is the same fold whether the
+// ranges ran on threads of one process or on sockets across machines.
 #pragma once
 
 #include <cstddef>

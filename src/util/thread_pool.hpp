@@ -1,11 +1,15 @@
 // Fixed-size worker-thread pool and a chunked parallel-for driver.
 //
-// The allocation search parallelizes by splitting the mixed-radix
-// index range into contiguous chunks, one task per chunk, with no work
-// stealing: chunks are coarse and equally sized, so static partitioning
-// keeps the reduction deterministic and the code simple.  The pool is
-// the reusable substrate (condition-variable task queue, the classic
-// idiom); parallel_chunks is the driver the search actually calls.
+// The engines parallelize through one entry point, parallel_chunks:
+// split a unit range into contiguous, equally sized chunks and run
+// one task per chunk.  The exhaustive walker splits its mixed-radix
+// leaf range this way.  The two-ASIC pair walk, whose rows vary
+// widely in cost, dispatches one unit per worker instead and lets
+// the workers claim rows from a shared atomic cursor; its reduce
+// orders by pair index, so the claim interleaving never shows in the
+// result.  The pool is the reusable substrate (condition-variable
+// task queue, the classic idiom); there is no work stealing inside
+// it.
 //
 // Error propagation is deterministic: each submitted task carries a
 // sequence number, workers record the exception from the

@@ -15,10 +15,12 @@
 //    constructor throws the joined report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <new>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "hw/target.hpp"
@@ -265,6 +267,20 @@ TEST(AnytimeSolve, truncated_incumbents_are_thread_count_invariant)
     // every poll site of every strategy, plus past-the-end.
     constexpr std::uint64_t k_max_cut = 14;
 
+    // Row accounting of the pair walk: a cut at k visits exactly the
+    // a0 rows below it and counts every other row as abandoned,
+    // whichever worker claimed which row.
+    const auto expect_rows = [](const lso::Solve_result& r,
+                                std::uint64_t cut, int n_threads) {
+        const long long n_rows = r.multi.axis_points[0];
+        const long long visited =
+            std::min(static_cast<long long>(cut), n_rows);
+        EXPECT_EQ(r.multi.rows_visited, visited)
+            << "cut=" << cut << ", " << n_threads << " threads";
+        EXPECT_EQ(r.rows_abandoned, n_rows - visited)
+            << "cut=" << cut << ", " << n_threads << " threads";
+    };
+
     for (const char* strategy : k_strategies) {
         const auto baseline = session.solve(strategy, {});
         ASSERT_EQ(baseline.status, lu::Solve_status::complete) << strategy;
@@ -273,6 +289,11 @@ TEST(AnytimeSolve, truncated_incumbents_are_thread_count_invariant)
             const auto r1 = session.solve(strategy, cut_options(cut, 1));
             const auto r2 = session.solve(strategy, cut_options(cut, 2));
             const auto r8 = session.solve(strategy, cut_options(cut, 8));
+            if (std::string_view(strategy) == "multi_asic_bb") {
+                expect_rows(r1, cut, 1);
+                expect_rows(r2, cut, 2);
+                expect_rows(r8, cut, 8);
+            }
 
             const auto f1 = fingerprint(r1, lib);
             EXPECT_EQ(f1, fingerprint(r2, lib))

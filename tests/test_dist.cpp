@@ -669,7 +669,30 @@ TEST(Distributed, bit_identical_to_local_for_multi_asic)
         expect_same_multi(r, local, "distributed multi");
         EXPECT_EQ(r.dist.n_units, local.multi.axis_points[0]);
         EXPECT_EQ(r.space_size, local.space_size);
+        EXPECT_EQ(r.status, lu::Solve_status::complete) << n_workers;
     }
+
+    // A truncating pair_limit: the same best-of-prefix as the local
+    // solve, and a budget status on both sides, never `complete`.
+    lso::Solve_options prefix_opts;
+    prefix_opts.n_threads = 1;
+    prefix_opts.extras =
+        lso::Multi_asic_extras{.pair_limit = local.space_size / 2};
+    const auto local_prefix = session.solve("multi_asic_bb", prefix_opts);
+    ASSERT_GT(local_prefix.multi.pairs_skipped, 0);
+    EXPECT_EQ(local_prefix.status, lu::Solve_status::budget);
+
+    Worker_fleet fleet;
+    ld::Coordinator_options co;
+    co.strategy = "multi_asic_bb";
+    co.solve = prefix_opts;
+    co.n_workers = 2;
+    co.on_listen = fleet.launcher(2);
+    const auto r = ld::solve_distributed(problem, co);
+    ASSERT_TRUE(r.have_best);
+    expect_same_multi(r, local_prefix, "distributed prefix");
+    EXPECT_EQ(r.multi.pairs_skipped, local_prefix.multi.pairs_skipped);
+    EXPECT_EQ(r.status, lu::Solve_status::budget);
 }
 
 TEST(Distributed, chaos_kill_reassigns_and_the_answer_is_unchanged)

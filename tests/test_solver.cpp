@@ -376,12 +376,72 @@ TEST(MultiAsicBb, deterministic_and_matches_brute_force)
     }
     EXPECT_EQ(reference.multi.datapaths, best_pair);
     EXPECT_EQ(reference.multi.partition.time_hybrid_ns, best_time);
+
+    // Seeded random problems at an even, an asymmetric and a starved-
+    // secondary split, against their 1-thread unpruned walk.  Workers
+    // claim rows dynamically and share one incumbent, so which worker
+    // finds which tie varies run to run.  The library carries a twin
+    // of its adder, one of each allowed: a0 allocations that differ
+    // only in which adder they hold tie exactly in (time, area) but
+    // lie in different rows, so the reduce's pair-index tie-break is
+    // what picks the answer.
+    auto dlib = lh::make_default_library();
+    const auto adder = *dlib.find("adder");
+    const auto twin = dlib.add({"adder_twin", {Op_kind::add, Op_kind::neg},
+                                dlib[adder].area,
+                                dlib[adder].latency_cycles});
+    lycos::util::Rng rng(1998);
+    for (int trial = 0; trial < 12; ++trial) {
+        // Four op kinds whose units fit the targets, so hardware pays
+        // on most draws.
+        lycos::apps::Random_app_params params;
+        params.n_bsbs = rng.uniform_int(2, 5);
+        params.min_ops = 4;
+        params.max_ops = 16;
+        params.kinds = {Op_kind::add, Op_kind::sub, Op_kind::mul,
+                        Op_kind::cmp_lt};
+        const auto rbsbs = lycos::apps::random_bsbs(rng, params);
+        lso::Problem rp;
+        rp.bsbs = rbsbs;
+        rp.lib = &dlib;
+        rp.target = lh::make_default_target(500.0 * rng.uniform_int(4, 14));
+        rp.restrictions.set(adder, 1);
+        rp.restrictions.set(twin, 1);
+        for (const char* unit : {"subtractor", "multiplier", "comparator"})
+            rp.restrictions.set(*dlib.find(unit), rng.uniform_int(1, 2));
+        rp.area_quantum = rp.target.asic.total_area / 64.0;
+        for (const double split : {0.5, 0.65, 0.9}) {
+            const double area = rp.target.asic.total_area;
+            rp.asic_areas = {area * split, area * (1.0 - split)};
+            lso::Session rs(rp);
+            lso::Solve_options unpruned;
+            unpruned.n_threads = 1;
+            unpruned.use_pruning = false;
+            const auto ref = rs.solve("multi_asic_bb", unpruned);
+            ASSERT_TRUE(ref.have_best);
+            for (int n_threads : {1, 2, 3, 8}) {
+                lso::Solve_options o;
+                o.n_threads = n_threads;
+                const auto r = rs.solve("multi_asic_bb", o);
+                EXPECT_EQ(r.multi.datapaths, ref.multi.datapaths)
+                    << "trial " << trial << ", split " << split << ", "
+                    << n_threads << " threads";
+                EXPECT_EQ(r.multi.partition.time_hybrid_ns,
+                          ref.multi.partition.time_hybrid_ns);
+                EXPECT_EQ(r.multi.partition.placement,
+                          ref.multi.partition.placement);
+                EXPECT_EQ(r.multi.datapath_area, ref.multi.datapath_area);
+                EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size);
+            }
+        }
+    }
 }
 
 // The pair_limit is a *soft* guard now: a pair space beyond it walks
 // exactly the first pair_limit pairs (a0-major order) for any thread
 // count and reports the remainder as pairs_skipped — the best pair is
-// the brute-force best of that prefix, and nothing throws.
+// the brute-force best of that prefix, nothing throws, and the status
+// says `budget`, never `complete`.
 TEST(MultiAsicBb, pair_limit_truncates_deterministically)
 {
     const auto lib = small_library();
@@ -399,6 +459,8 @@ TEST(MultiAsicBb, pair_limit_truncates_deterministically)
     lso::Session session(p);
     const auto full = session.solve("multi_asic_bb", {.n_threads = 1});
     ASSERT_GT(full.space_size, 4);
+    EXPECT_EQ(full.multi.pairs_skipped, 0);
+    EXPECT_EQ(full.status, lycos::util::Solve_status::complete);
     const long long f1 = full.multi.axis_points[1];
 
     // A limit cutting mid-row: the walked prefix is pairs [0, limit).
@@ -410,6 +472,7 @@ TEST(MultiAsicBb, pair_limit_truncates_deterministically)
     EXPECT_EQ(prefix.multi.pairs_skipped, full.space_size - limit);
     EXPECT_EQ(prefix.n_evaluated + prefix.n_pruned, limit);
     EXPECT_EQ(prefix.space_size, full.space_size);
+    EXPECT_EQ(prefix.status, lycos::util::Solve_status::budget);
 
     // Brute force over exactly that prefix.
     const double half = target.asic.total_area / 2.0;
@@ -454,6 +517,7 @@ TEST(MultiAsicBb, pair_limit_truncates_deterministically)
         EXPECT_EQ(r.multi.partition.time_hybrid_ns,
                   prefix.multi.partition.time_hybrid_ns);
         EXPECT_EQ(r.multi.pairs_skipped, prefix.multi.pairs_skipped);
+        EXPECT_EQ(r.status, lycos::util::Solve_status::budget);
     }
 }
 

@@ -146,7 +146,8 @@ int main(int argc, char** argv)
                     std::to_string(solver::Multi_asic_extras{}.pair_limit),
                     "multi_asic_bb: soft cap on walked two-ASIC pairs; "
                     "pairs beyond it are skipped deterministically and "
-                    "reported (<= 0 = unlimited)");
+                    "reported, the status row says budget and the exit "
+                    "code is 4 (<= 0 = unlimited)");
     args.add_option("deadline-ms", "0",
                     "wall-clock budget for --search in milliseconds; on "
                     "expiry the solve stops cooperatively and reports the "
