@@ -15,7 +15,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <optional>
 #include <poll.h>
 #include <stdexcept>
 #include <vector>
@@ -144,25 +143,22 @@ Lease_result_msg to_lease_result(const std::string& strategy,
 }
 
 /// Recompute the winner's full single-ASIC Evaluation from its
-/// datapath — the same context pinning the exhaustive engine applies
-/// (DP table width fixed to the total ASIC area under an explicit
-/// search quantum), so the result is bitwise the engine's own.
+/// datapath under the context exhaustive_bb searches with (the DP
+/// table width pinned as in solver::detail::search_context), so the
+/// result is bitwise the strategy's own.
 void fill_winner_single(solver::Session& session,
                         const solver::Solve_options& solve,
                         const core::Rmap& dp, solver::Solve_result& out)
 {
-    search::Eval_context run_ctx = session.context();
-    if (run_ctx.area_quantum > 0.0)
-        run_ctx.dp_table_budget = run_ctx.target.asic.total_area;
-    search::Eval_cache* cache =
-        solve.use_cache ? &session.cache(solve.cache_capacity) : nullptr;
-    out.best = search::evaluate_allocation(run_ctx, dp, cache);
+    out.best = search::evaluate_allocation(
+        solver::detail::search_context(session, nullptr), dp,
+        &session.cache(solve.cache_capacity));
     out.have_best = true;
 }
 
 /// Same for the two-ASIC winner: rebuild the pair's combined costs
 /// through the cache and rerun the sparse partition DP with the exact
-/// options the engine used for that pair.
+/// options the strategy used for that pair.
 void fill_winner_multi(solver::Session& session,
                        const solver::Solve_options& solve,
                        const core::Rmap& dp0, const core::Rmap& dp1,
@@ -171,22 +167,13 @@ void fill_winner_multi(solver::Session& session,
     const auto& ctx = session.context();
     const auto budgets =
         solver::detail::multi_asic_budgets(session.problem());
-    std::optional<search::Eval_cache> local;
-    search::Eval_cache& cache =
-        solve.use_cache
-            ? session.cache(solve.cache_capacity)
-            : local.emplace(ctx, solve.cache_capacity,
-                            session.invariants());
+    search::Eval_cache& cache = session.cache(solve.cache_capacity);
     std::vector<pace::Bsb_cost> c0;
     std::vector<pace::Bsb_cost> c1;
     cache.costs_for(dp0, c0);
     cache.costs_for(dp1, c1);
-    std::vector<pace::Multi_bsb_cost> mcosts(c0.size());
-    for (std::size_t k = 0; k < c0.size(); ++k) {
-        mcosts[k].t_sw = c0[k].t_sw;
-        mcosts[k].hw[0] = c0[k];
-        mcosts[k].hw[1] = c1[k];
-    }
+    std::vector<pace::Multi_bsb_cost> mcosts;
+    solver::detail::combine_costs(c0, c1, mcosts);
     const double a0 = dp0.area(ctx.lib);
     const double a1 = dp1.area(ctx.lib);
     pace::Multi_pace_options mo;
@@ -263,7 +250,6 @@ solver::Solve_result solve_distributed(const solver::Problem& problem,
     job.problem = Problem_blob::from_problem(problem);
     job.strategy = options.strategy;
     job.options.n_threads = options.solve.n_threads;
-    job.options.use_cache = options.solve.use_cache;
     job.options.use_pruning = options.solve.use_pruning;
     job.options.cache_capacity = options.solve.cache_capacity;
     {

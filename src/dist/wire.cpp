@@ -270,7 +270,6 @@ void put_problem(Wire_writer& w, const Problem_blob& b)
     w.u8(b.ctrl_mode);
     w.u8(b.scheduler);
     w.f64(b.area_quantum);
-    w.f64(b.dp_table_budget);
     w.f64(b.asic_areas[0]);
     w.f64(b.asic_areas[1]);
     w.u8(b.storage.has_value() ? 1 : 0);
@@ -332,7 +331,6 @@ bool get_problem(Wire_reader& r, Problem_blob& b)
             return false;
         }
         b.area_quantum = r.f64();
-        b.dp_table_budget = r.f64();
         b.asic_areas[0] = r.f64();
         b.asic_areas[1] = r.f64();
         const std::uint8_t has_storage = r.u8();
@@ -381,7 +379,6 @@ Problem_blob Problem_blob::from_problem(const solver::Problem& p)
     b.ctrl_mode = static_cast<std::uint8_t>(p.ctrl_mode);
     b.scheduler = static_cast<std::uint8_t>(p.scheduler);
     b.area_quantum = p.area_quantum;
-    b.dp_table_budget = p.dp_table_budget;
     b.asic_areas = p.asic_areas;
     if (p.storage != nullptr)
         b.storage = *p.storage;
@@ -398,7 +395,6 @@ solver::Problem Problem_blob::problem() const
     p.ctrl_mode = static_cast<pace::Controller_mode>(ctrl_mode);
     p.scheduler = static_cast<sched::Scheduler_kind>(scheduler);
     p.area_quantum = area_quantum;
-    p.dp_table_budget = dp_table_budget;
     p.asic_areas = asic_areas;
     if (storage.has_value())
         p.storage = &*storage;
@@ -428,7 +424,6 @@ std::vector<std::uint8_t> encode_job(const Job_msg& m)
     put_problem(w, m.problem);
     w.str(m.strategy);
     w.u32(static_cast<std::uint32_t>(m.options.n_threads));
-    w.u8(m.options.use_cache ? 1 : 0);
     w.u8(m.options.use_pruning ? 1 : 0);
     w.u64(m.options.cache_capacity);
     w.i64(m.options.pair_limit);
@@ -445,7 +440,6 @@ bool decode_job(const std::vector<std::uint8_t>& payload, Job_msg& out)
         return false;
     out.strategy = r.str();
     out.options.n_threads = static_cast<std::int32_t>(r.u32());
-    out.options.use_cache = r.u8() != 0;
     out.options.use_pruning = r.u8() != 0;
     out.options.cache_capacity = r.u64();
     out.options.pair_limit = r.i64();

@@ -51,7 +51,9 @@ inline constexpr std::uint32_t k_magic = 0x3144594Cu;
 /// length prefix runs into.
 inline constexpr std::uint32_t k_max_payload = 1u << 26;
 
-inline constexpr std::uint32_t k_protocol_version = 1;
+/// Sent in the hello; the coordinator drops a worker whose version
+/// differs, since it could not decode this job encoding.
+inline constexpr std::uint32_t k_protocol_version = 2;
 
 enum class Msg : std::uint8_t {
     hello = 1,
@@ -150,7 +152,6 @@ struct Problem_blob {
     std::uint8_t ctrl_mode = 0;
     std::uint8_t scheduler = 0;
     double area_quantum = 0.0;
-    double dp_table_budget = 0.0;
     std::array<double, 2> asic_areas{0.0, 0.0};
     std::optional<estimate::Storage_model> storage;
 
@@ -164,7 +165,6 @@ struct Problem_blob {
 /// or perf-relevant; deadlines/faults/windows stay per-side.
 struct Wire_options {
     std::int32_t n_threads = 0;
-    bool use_cache = true;
     bool use_pruning = true;
     std::uint64_t cache_capacity = 0;
     // Multi_asic_extras (applied only when strategy=multi_asic_bb):

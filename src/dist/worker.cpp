@@ -197,7 +197,6 @@ int run_worker(const std::string& host, std::uint16_t port,
 
     solver::Solve_options base;
     base.n_threads = job.options.n_threads;
-    base.use_cache = job.options.use_cache;
     base.use_pruning = job.options.use_pruning;
     base.cache_capacity =
         static_cast<std::size_t>(job.options.cache_capacity);

@@ -487,8 +487,7 @@ namespace {
 
 /// One BSB's contribution to multi_max_gain: the better of its two
 /// per-ASIC gains, adjacency credited unconditionally, budgets
-/// ignored — shared by both overloads so the admissibility formula
-/// lives in exactly one place.
+/// ignored.
 double best_bsb_gain(std::size_t i, double t_sw, const Bsb_cost& h0,
                      const Bsb_cost& h1)
 {
@@ -505,15 +504,6 @@ double best_bsb_gain(std::size_t i, double t_sw, const Bsb_cost& h0,
 }
 
 }  // namespace
-
-double multi_max_gain(std::span<const Multi_bsb_cost> costs)
-{
-    double total = 0.0;
-    for (std::size_t i = 0; i < costs.size(); ++i)
-        total += best_bsb_gain(i, costs[i].t_sw, costs[i].hw[0],
-                               costs[i].hw[1]);
-    return total;
-}
 
 double multi_max_gain(std::span<const Bsb_cost> c0,
                       std::span<const Bsb_cost> c1)

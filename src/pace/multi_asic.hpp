@@ -295,19 +295,16 @@ double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
                               const Multi_pace_options& options,
                               Multi_pace_workspace* workspace = nullptr);
 
-/// Admissible bound on the total saving any two-ASIC placement of
-/// `costs` can achieve — the generalization of pace::max_gain: each
-/// BSB contributes the better of its two per-ASIC gains, crediting
-/// the larger adjacency saving unconditionally and ignoring both area
-/// budgets.  For every placement, time_all_sw - time_hybrid <=
-/// multi_max_gain(costs); the multi-ASIC allocation search skips the
-/// screening DP for pairs whose bound cannot beat the incumbent.
-double multi_max_gain(std::span<const Multi_bsb_cost> costs);
-
-/// Same bound over split per-ASIC cost spans (t_sw from `c0`) — the
-/// a0-major pair walk keeps the row's asic0 costs and a per-row
-/// relaxation of the asic1 costs in separate vectors and must not
-/// materialize a combined Multi_bsb_cost vector just to bound a row.
+/// Admissible bound on the total saving any two-ASIC placement of a
+/// BSB sequence can achieve, given each ASIC's per-BSB costs (t_sw
+/// from `c0`): each BSB contributes the better of its two per-ASIC
+/// gains, crediting the larger adjacency saving unconditionally and
+/// ignoring both area budgets.  For every placement, time_all_sw -
+/// time_hybrid <= multi_max_gain(c0, c1); the multi-ASIC allocation
+/// search skips the screening DP for pairs — and whole a0 rows,
+/// against a relaxation of the asic1 axis — whose bound cannot beat
+/// the incumbent.  The split spans let the a0-major pair walk bound a
+/// row without materializing a combined Multi_bsb_cost vector.
 double multi_max_gain(std::span<const Bsb_cost> c0,
                       std::span<const Bsb_cost> c1);
 

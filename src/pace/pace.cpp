@@ -54,22 +54,6 @@ Pace_result evaluate_partition(std::span<const Bsb_cost> costs,
     return r;
 }
 
-double max_gain(std::span<const Bsb_cost> costs)
-{
-    double total = 0.0;
-    for (std::size_t i = 0; i < costs.size(); ++i) {
-        const auto& c = costs[i];
-        if (std::isinf(c.t_hw))
-            continue;
-        double gain = hw_gain(c);
-        if (i > 0)
-            gain += std::max(0.0, c.save_prev);
-        if (gain > 0.0)
-            total += gain;
-    }
-    return total;
-}
-
 namespace {
 
 /// Shared quantization of the DP table (pace_partition and

@@ -131,7 +131,7 @@ Pace_result pace_partition(std::span<const Bsb_cost> costs,
 /// width, cleared checkpoint) restarts from row 0 — correctness never
 /// depends on the caller's call pattern.  Results are bit-identical
 /// to a cold run in all cases; rows_reused()/rows_swept() make the
-/// reuse observable (Search_result reports them per search).
+/// reuse observable (Solve_result reports them per search).
 class Pace_workspace {
 public:
     Pace_workspace() = default;
@@ -240,14 +240,6 @@ private:
     bool anchor_valid_ = false;
     bool anchor_armed_ = false;  ///< capture the pass's next ckpt write
 };
-
-/// Admissible bound on the total saving any partition of `costs` can
-/// achieve: the sum of the positive per-BSB hardware gains, crediting
-/// every BSB its adjacency saving and ignoring the area budget
-/// entirely.  For every partition, time_all_sw - time_hybrid <=
-/// max_gain(costs); the branch-and-bound allocation search prunes the
-/// DP for candidates whose bound cannot beat the incumbent.
-double max_gain(std::span<const Bsb_cost> costs);
 
 /// The DP's optimal objective value — the best achievable saving vs.
 /// all-software — without reconstructing which BSBs achieve it.  This

@@ -44,8 +44,9 @@ struct Eval_context {
     /// every PACE table in this context is sized for this budget (the
     /// real per-point budget still clamps the answer), so DP rows
     /// checkpointed in a Pace_workspace stay valid across points with
-    /// different leftover controller budgets.  The exhaustive search
-    /// pins it to the total ASIC area; 0 keeps the per-call width.
+    /// different leftover controller budgets.  The single-ASIC search
+    /// strategies pin it to the total ASIC area under an explicit
+    /// search quantum; 0 keeps the per-call width.
     double dp_table_budget = 0.0;
 
     /// Forwarded to Pace_options::cancel so the PACE sweeps charge
@@ -88,8 +89,8 @@ Evaluation evaluate_allocation(const Eval_context& ctx,
 
 /// The tail of evaluate_allocation once per-BSB `costs` are in hand —
 /// the branch-and-bound search obtains costs first (cheap, memoized),
-/// bounds the achievable gain with pace::max_gain, and only runs this
-/// PACE stage for candidates that can still beat the incumbent.
+/// screens them with the value-only DP, and only runs this PACE stage
+/// for candidates that can still beat the incumbent.
 Evaluation evaluate_with_costs(const Eval_context& ctx,
                                const core::Rmap& datapath,
                                std::span<const pace::Bsb_cost> costs,

@@ -1,8 +1,8 @@
 // Admissible proxy costs for unscheduled projections.
 //
-// The branch-and-bound walker (exhaustive.cpp) stands in for exact
-// per-BSB costs it has not scheduled yet with *optimistic* costs —
-// every field at most the bsb_cost_one result — so bounds and
+// The branch-and-bound walker (solver/exhaustive_bb.cpp) stands in
+// for exact per-BSB costs it has not scheduled yet with *optimistic*
+// costs — every field at most the bsb_cost_one result — so bounds and
 // screening DPs computed over them can never cut a point the exact
 // costs would keep.  That machinery was exhaustive-only (buried in
 // the walker's Prune_model); this header extracts the per-BSB piece

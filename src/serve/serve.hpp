@@ -120,9 +120,6 @@ struct Request {
     /// options.deadline_ms is ignored.
     solver::Solve_options options;
 
-    /// Auto-pick threshold, as Session::exhaustive_limit.
-    long long exhaustive_limit = 30000;
-
     /// Chaos-campaign fault plan (tests only; default unarmed).
     Chaos_plan chaos;
 };

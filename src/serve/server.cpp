@@ -41,10 +41,9 @@ std::string encode_problem(const solver::Problem& p)
     os << std::hexfloat;
     os << "lib:" << reinterpret_cast<std::uintptr_t>(p.lib)
        << " storage:" << reinterpret_cast<std::uintptr_t>(p.storage)
-       << " obj:" << static_cast<int>(p.objective)
        << " ctrl:" << static_cast<int>(p.ctrl_mode)
        << " sched:" << static_cast<int>(p.scheduler)
-       << " q:" << p.area_quantum << " dp:" << p.dp_table_budget
+       << " q:" << p.area_quantum
        << " a01:" << p.asic_areas[0] << "," << p.asic_areas[1];
     os << " cpu:" << p.target.cpu.name << "," << p.target.cpu.clock_mhz;
     for (const auto k : hw::all_op_kinds())
@@ -383,9 +382,7 @@ struct Server::Impl {
 
         std::string strategy = p.req.strategy;
         if (strategy == "auto")
-            strategy = session.space_size() <= p.req.exhaustive_limit
-                           ? "exhaustive_bb"
-                           : "hill_climb";
+            strategy = session.auto_strategy();
         if (solver::find_strategy(strategy) == nullptr) {
             resp.status = Request_status::failed;
             resp.error = "unknown strategy \"" + strategy + "\"";
@@ -793,7 +790,6 @@ solver::Solve_result replay_rung(const Request& request,
         throw std::logic_error(
             "serve::replay_rung: response carries no accepted rung");
     solver::Session session(request.problem);
-    session.exhaustive_limit = request.exhaustive_limit;
     if (response.rung_strategy == k_incumbent_rung)
         return greedy_incumbent(
             session, response.warm_start ? &response.warm_datapath : nullptr);

@@ -1,5 +1,46 @@
-#include "search/exhaustive.hpp"
-
+// exhaustive_bb — the §5 methodology for "the best allocation": score
+// every allocation within the problem's restrictions whose data-path
+// fits the ASIC and keep the one PACE likes best, ties toward the
+// smaller data-path area (cheaper hardware), then toward the
+// enumeration order.  Run as a deterministic branch-and-bound.
+//
+// The search is chunk-parallel: the mixed-radix index range
+// [0, Alloc_space::size()) is split into one contiguous chunk per
+// worker thread, each worker walks its chunk as a mixed-radix *tree*
+// (digits assigned most-significant first, so subtrees are contiguous
+// index ranges) with its own Eval_cache (worker 0 on the session
+// cache) and its own session workspace slot, and the per-chunk bests
+// are reduced in chunk order.  Three admissible prunes skip work
+// without ever changing the best tuple:
+//   * area-monotone subtrees: a digit prefix whose data-path area
+//     already exceeds the ASIC kills the whole subtree (digits only
+//     add area) — those points would have been enumerated but never
+//     evaluated anyway,
+//   * gain-bounded subtrees: an allocation-independent lower bound on
+//     the hybrid time (ASAP-length hardware times, coverage of the
+//     subtree's maximal completion) proves no completion can beat the
+//     worker's incumbent,
+//   * per-point DP savings: leaves run the value-only screening DP
+//     (pace_best_saving) and only pay the traceback reconstruction
+//     when the screened time can still beat the incumbent (screened
+//     points count as n_evaluated — they were scored).
+// The interior gain bound is additionally conditioned on the digit
+// prefix already assigned: per op kind, the instance capacity any
+// completion can still reach (assigned digits exactly, open dims at
+// their bound) yields a work/capacity floor on every BSB's schedule
+// length, tightening the coverage bound as digits shrink below their
+// bounds.  DP leaf evaluations run *incrementally*: each worker's
+// Pace_workspace checkpoints the DP rows of its last evaluation, the
+// leaves arrive in tree order (long shared cost prefixes), and the
+// table width is pinned to the total ASIC area (search_context) so
+// rows stay valid across leaves with different leftover budgets — the
+// sweep restarts at the first BSB whose cost actually changed
+// (Solve_result::dp_rows_reused).  The slots belong to the Session,
+// so a repeat solve resumes from the checkpoints the last one left.
+// Because every prune removes only provably-worse points and the
+// reduction applies the same strict better_than the sequential loop
+// used (keep the incumbent on ties), the best tuple is bit-identical
+// to the unpruned single-threaded search for any thread count.
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -12,13 +53,19 @@
 #include "estimate/sw_time.hpp"
 #include "pace/cost_model.hpp"
 #include "sched/time_frames.hpp"
+#include "search/alloc_space.hpp"
 #include "search/workspace_pool.hpp"
+#include "solver/internal.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-namespace lycos::search {
+namespace lycos::solver::detail {
 
 namespace {
+
+using search::Eval_cache;
+using search::Eval_context;
+using search::Evaluation;
 
 /// What one worker accumulates over its chunk of the index range.
 struct Chunk_result {
@@ -32,7 +79,7 @@ struct Chunk_result {
     long long dp_rows_foreign = 0;  ///< reused rows from an earlier solve
     long long rows_abandoned = 0;  ///< leaves refused by the cancel token
     bool abandoned = false;        ///< chunk stopped before its end
-    Eval_cache_stats stats;
+    search::Eval_cache_stats stats;
 };
 
 /// One dimension of the mixed-radix walk, most-significant last.
@@ -69,7 +116,6 @@ struct Dim_info {
 /// soon as all of a BSB's relevant dims are assigned (its
 /// "determination depth").
 struct Prune_model {
-    bool enabled = false;
     double all_sw = 0.0;  ///< sum of t_sw, the all-software time
     double slack = 0.0;   ///< float-safety margin on bound comparisons
     std::vector<double> g_ub;  ///< per BSB; 0 when never feasible
@@ -127,7 +173,7 @@ struct Prune_model {
 
 Prune_model build_prune_model(const Eval_context& ctx,
                               const std::vector<Dim_info>& dims,
-                              const Eval_cache* cache)
+                              const Eval_cache& cache)
 {
     Prune_model m;
     const std::size_t n = ctx.bsbs.size();
@@ -157,8 +203,7 @@ Prune_model build_prune_model(const Eval_context& ctx,
     }
     // The cache's hoisted frames use latency_table_from; they are only
     // reusable when that table already is the per-kind minimum.
-    const bool cache_frames_ok =
-        cache != nullptr && min_lat == sched::latency_table_from(ctx.lib);
+    const bool cache_frames_ok = min_lat == sched::latency_table_from(ctx.lib);
 
     m.g_ub.assign(n, 0.0);
     m.terms.assign(n, {});
@@ -179,7 +224,7 @@ Prune_model build_prune_model(const Eval_context& ctx,
         // t_hw >= t_hw_lb holds bitwise (float multiply is monotone).
         const int asap_len =
             cache_frames_ok
-                ? cache->frames(i).length
+                ? cache.frames(i).length
                 : sched::compute_time_frames(b.graph, min_lat).length;
         const double t_hw_lb =
             asap_len * ctx.target.asic.cycle_ns() * b.profile;
@@ -279,13 +324,11 @@ Prune_model build_prune_model(const Eval_context& ctx,
             }
         m.by_min_dim[min_dim].push_back(static_cast<int>(i));
     }
-
-    m.enabled = true;
     return m;
 }
 
-/// Shared empty determination list for walkers running without the
-/// incremental exact-cost overlay.
+/// Shared empty determination list for unpruned walks (no exact-cost
+/// overlay).
 const std::vector<int> k_no_dets;
 
 /// Admissible reduction of a BSB's software time given its exact cost:
@@ -311,19 +354,15 @@ public:
     Walker(const Eval_context& ctx, const std::vector<Dim_info>& dims,
            const Prune_model& model, bool use_pruning, double max_area,
            double prime_time, long long begin, long long end,
-           Eval_cache* cache, const util::Shared_bound* ext,
-           Chunk_result& out, pace::Pace_workspace* persistent_ws = nullptr)
+           Eval_cache& cache, const util::Shared_bound* ext,
+           Chunk_result& out, pace::Pace_workspace& ws)
         : ctx_(ctx), dims_(dims), model_(model), use_pruning_(use_pruning),
           max_area_(max_area), prime_time_(prime_time), begin_(begin),
           end_(end), cache_(cache), cancel_(ctx.cancel), ext_(ext),
-          out_(out), digits_(dims.size(), 0),
+          out_(out), ws_(ws), digits_(dims.size(), 0),
           dense_counts_(ctx.lib.size(), 0)
     {
-        if (persistent_ws != nullptr)
-            ws_ = persistent_ws;
-        bounding_ = use_pruning_ && model_.enabled;
-        det_enabled_ = bounding_ && cache_ != nullptr;
-        if (bounding_) {
+        if (use_pruning_) {
             n_exec_ = model_.n_exec_init;
             missing_.assign(model_.g_ub.size(), 0);
             avail_ = model_.avail_init;
@@ -336,8 +375,6 @@ public:
                     cond_g_[b] = conditioned_gain(b);
                     cov_gain_ += cond_g_[b];
                 }
-        }
-        if (det_enabled_) {
             // Proxy determinations defer scheduling: uncached exact
             // costs are stood in for by admissible optimistic costs,
             // and only leaves that survive the proxy screening DP pay
@@ -361,13 +398,11 @@ public:
 
     void run()
     {
-        // A persistent workspace carries counters (and checkpoints)
-        // from earlier solves — report this run's deltas only.  The
-        // private member workspace starts at zero, so the deltas are
-        // the full counters there, exactly as before.
-        const long long reused0 = ws_->rows_reused();
-        const long long swept0 = ws_->rows_swept();
-        const long long foreign0 = ws_->rows_reused_foreign();
+        // The session workspace carries counters (and checkpoints)
+        // from earlier solves — report this run's deltas only.
+        const long long reused0 = ws_.rows_reused();
+        const long long swept0 = ws_.rows_swept();
+        const long long foreign0 = ws_.rows_reused_foreign();
         // Full poll once per chunk entry: a deadline that expired
         // before this chunk started abandons it whole — otherwise a
         // space smaller than the leaf-poll stride would never read
@@ -381,9 +416,9 @@ public:
         else {
             walk(static_cast<int>(dims_.size()) - 1, 0, 0.0);
         }
-        out_.dp_rows_reused += ws_->rows_reused() - reused0;
-        out_.dp_rows_swept += ws_->rows_swept() - swept0;
-        out_.dp_rows_foreign += ws_->rows_reused_foreign() - foreign0;
+        out_.dp_rows_reused += ws_.rows_reused() - reused0;
+        out_.dp_rows_swept += ws_.rows_swept() - swept0;
+        out_.dp_rows_foreign += ws_.rows_reused_foreign() - foreign0;
         out_.abandoned = stopped_;
     }
 
@@ -429,16 +464,16 @@ private:
                 // Area-monotone: deeper digits and larger c only add
                 // area, so the rest of this dim's range is dead.
                 out_.n_pruned += std::min(end_, dim_end) - lo;
-                if (bounding_)
+                if (use_pruning_)
                     set_dim_digit(static_cast<std::size_t>(d), dim.bound);
                 return;
             }
 
             digits_[static_cast<std::size_t>(d)] = c;
             dense_counts_[static_cast<std::size_t>(dim.id)] = c;
-            if (bounding_)
+            if (use_pruning_)
                 set_dim_digit(static_cast<std::size_t>(d), c);
-            const bool toggled = bounding_ && c == 0;
+            const bool toggled = use_pruning_ && c == 0;
             if (toggled)
                 remove_dim(static_cast<std::size_t>(d));
 
@@ -446,9 +481,9 @@ private:
             // free; each determination (a memoized cost query) only
             // runs while the subtree still survives, so branches dead
             // on the coarse bound never schedule anything.
-            bool pruned = bounding_ && bound_exceeds(area);
+            bool pruned = use_pruning_ && bound_exceeds(area);
             const auto& det_list =
-                det_enabled_
+                use_pruning_
                     ? model_.by_min_dim[static_cast<std::size_t>(d)]
                     : k_no_dets;
             std::size_t n_det = 0;
@@ -477,7 +512,7 @@ private:
             if (toggled)
                 restore_dim(static_cast<std::size_t>(d));
         }
-        if (bounding_)
+        if (use_pruning_)
             set_dim_digit(static_cast<std::size_t>(d), dim.bound);
     }
 
@@ -512,8 +547,8 @@ private:
 
     /// True when no completion of the current prefix can beat the
     /// threshold.  Two admissible layers: the free coverage/exact-sum
-    /// bound, then — only when exact costs are in play — a fractional-
-    /// knapsack relaxation that also respects the controller-area
+    /// bound, then a fractional-knapsack relaxation over the
+    /// determined exact costs that also respects the controller-area
     /// budget the prefix leaves free.  Sets remote_kill_ when the kill
     /// holds only because of the external bound.
     bool bound_exceeds(double prefix_area)
@@ -528,8 +563,6 @@ private:
             remote_kill_ = !(lhs0 > local);
             return true;
         }
-        if (!det_enabled_)
-            return false;
         const double lhs1 = model_.all_sw - lp_gain_bound(prefix_area);
         if (lhs1 > thr) {
             remote_kill_ = !(lhs1 > local);
@@ -588,7 +621,7 @@ private:
     void determine(std::size_t i)
     {
         if (use_proxy_) {
-            if (const auto* c = cache_->find_one(i, dense_counts_)) {
+            if (const auto* c = cache_.find_one(i, dense_counts_)) {
                 cur_cost_[i] = *c;
             }
             else {
@@ -598,7 +631,7 @@ private:
             }
         }
         else {
-            cur_cost_[i] = cache_->cost_one(i, dense_counts_);
+            cur_cost_[i] = cache_.cost_one(i, dense_counts_);
         }
         cur_red_[i] = exact_reduction(cur_cost_[i], i == 0);
         exact_sum_ += cur_red_[i];
@@ -658,7 +691,7 @@ private:
         c.save_prev = t.adj;
         const int n_states =
             ctx_.ctrl_mode == pace::Controller_mode::optimistic_eca
-                ? std::max(1, cache_->frames(b).length)
+                ? std::max(1, cache_.frames(b).length)
                 : std::max(1, static_cast<int>(len));
         c.ctrl_area = estimate::controller_area(n_states, ctx_.target.gates);
         return c;
@@ -672,7 +705,7 @@ private:
         for (std::size_t i = 0; i < proxied_.size(); ++i) {
             if (proxied_[i] == 0)
                 continue;
-            cur_cost_[i] = cache_->cost_one(i, dense_counts_);
+            cur_cost_[i] = cache_.cost_one(i, dense_counts_);
             const double red = exact_reduction(cur_cost_[i], i == 0);
             exact_sum_ += red - cur_red_[i];
             cur_red_[i] = red;
@@ -689,8 +722,7 @@ private:
             if (--n_exec_[static_cast<std::size_t>(ki)] == 0)
                 for (const int b : model_.kind_bsbs[static_cast<std::size_t>(ki)])
                     if (++missing_[static_cast<std::size_t>(b)] == 1 &&
-                        (determined_.empty() ||
-                         determined_[static_cast<std::size_t>(b)] == 0))
+                        determined_[static_cast<std::size_t>(b)] == 0)
                         cov_gain_ -= cond_g_[static_cast<std::size_t>(b)];
     }
 
@@ -700,8 +732,7 @@ private:
             if (n_exec_[static_cast<std::size_t>(ki)]++ == 0)
                 for (const int b : model_.kind_bsbs[static_cast<std::size_t>(ki)])
                     if (--missing_[static_cast<std::size_t>(b)] == 0 &&
-                        (determined_.empty() ||
-                         determined_[static_cast<std::size_t>(b)] == 0))
+                        determined_[static_cast<std::size_t>(b)] == 0)
                         cov_gain_ += cond_g_[static_cast<std::size_t>(b)];
     }
 
@@ -734,8 +765,7 @@ private:
     void refresh_gain(std::size_t b)
     {
         const double g = conditioned_gain(b);
-        if (missing_[b] == 0 &&
-            (determined_.empty() || determined_[b] == 0))
+        if (missing_[b] == 0 && determined_[b] == 0)
             cov_gain_ += g - cond_g_[b];
         cond_g_[b] = g;
     }
@@ -788,10 +818,7 @@ private:
             return;
         }
 
-        if (!det_enabled_ && cache_ != nullptr)
-            cache_->costs_for_counts(dense_counts_, costs_);
-
-        if (use_pruning_ && cache_ != nullptr) {
+        if (use_pruning_) {
             // Screening pass: the DP's optimal value without the
             // traceback bookkeeping.  Only points whose screened time
             // lands within the float-safety margin of the incumbent
@@ -804,14 +831,13 @@ private:
             // prune (n_pruned — the point was never exactly scored,
             // and no schedule was ever run for it), and a survivor
             // pays for its real schedules before the exact screen.
-            const auto& costs = det_enabled_ ? cur_cost_ : costs_;
             pace::Pace_options opts;
             opts.ctrl_area_budget = max_area_ - area;
             opts.area_quantum = ctx_.area_quantum;
             opts.table_area_budget = ctx_.dp_table_budget;
             opts.cancel = cancel_;
-            double saving = pace::pace_best_saving(costs, opts, ws_);
-            double t_est = pace::all_sw_time_ns(costs) - saving;
+            double saving = pace::pace_best_saving(cur_cost_, opts, &ws_);
+            double t_est = pace::all_sw_time_ns(cur_cost_) - saving;
             if (t_est > threshold() + model_.slack) {
                 if (!(t_est > local_threshold() + model_.slack))
                     ++out_.n_pruned_remote;
@@ -826,7 +852,7 @@ private:
             }
             if (n_proxied_ > 0) {
                 resolve_proxies();
-                saving = pace::pace_best_saving(cur_cost_, opts, ws_);
+                saving = pace::pace_best_saving(cur_cost_, opts, &ws_);
                 t_est = pace::all_sw_time_ns(cur_cost_) - saving;
                 if (t_est > threshold() + model_.slack) {
                     ++out_.n_evaluated;
@@ -835,38 +861,22 @@ private:
                 }
             }
         }
+        else {
+            cache_.costs_for_counts(dense_counts_, costs_);
+        }
 
         core::Rmap a;
         for (std::size_t d = 0; d < dims_.size(); ++d)
             if (digits_[d] > 0)
                 a.set(dims_[d].id, digits_[d]);
-        if (cache_ == nullptr) {
-            costs_ = pace::build_cost_model(ctx_.bsbs, ctx_.lib, ctx_.target,
-                                            a, ctx_.ctrl_mode, ctx_.storage,
-                                            ctx_.scheduler);
-            if (use_pruning_) {
-                // Admissible per-point bound from the exact costs:
-                // skip the PACE DP when even the area-unconstrained
-                // gain cannot beat the incumbent.
-                const double lb =
-                    pace::all_sw_time_ns(costs_) - pace::max_gain(costs_);
-                if (lb > threshold() + model_.slack) {
-                    ++out_.n_pruned;
-                    if (!(lb > local_threshold() + model_.slack))
-                        ++out_.n_pruned_remote;
-                    return;
-                }
-            }
-        }
-
-        // With det_enabled_ every BSB's exact cost was assembled on
-        // the way down (and the exact bound already checked when the
-        // last digit was assigned) — run the DP straight on it.
-        const Evaluation ev = evaluate_with_costs(
-            ctx_, a, det_enabled_ ? cur_cost_ : costs_, ws_);
+        // Under pruning every BSB's exact cost was assembled on the way
+        // down (and the exact bound already checked when the last digit
+        // was assigned) — run the DP straight on it.
+        const Evaluation ev = search::evaluate_with_costs(
+            ctx_, a, use_pruning_ ? cur_cost_ : costs_, &ws_);
         ++out_.n_evaluated;
         charge_eval();
-        if (!out_.have_best || better_than(ev, out_.best)) {
+        if (!out_.have_best || search::better_than(ev, out_.best)) {
             out_.best = ev;
             out_.have_best = true;
         }
@@ -883,15 +893,13 @@ private:
     const Eval_context& ctx_;
     const std::vector<Dim_info>& dims_;
     const Prune_model& model_;
-    bool use_pruning_;
-    bool bounding_ = false;     ///< coverage/gain bound active
-    bool det_enabled_ = false;  ///< incremental exact costs active
+    bool use_pruning_;          ///< bounds, exact-cost overlay, screening
     bool use_proxy_ = false;    ///< defer schedules behind proxy costs
     double max_area_;
     double prime_time_;
     long long begin_;
     long long end_;
-    Eval_cache* cache_;
+    Eval_cache& cache_;
     const util::Cancel_token* cancel_;
     const util::Shared_bound* ext_;  ///< cross-process incumbent bound
     /// Last-sampled external bound (inf = none); stale reads are just
@@ -901,11 +909,14 @@ private:
     bool stopped_ = false;          ///< live trip ended this chunk
     std::uint64_t leaf_polls_ = 0;  ///< strided deadline-poll counter
     Chunk_result& out_;
+    /// The session workspace slot this chunk sweeps on; its
+    /// checkpoint survives into the next solve.
+    pace::Pace_workspace& ws_;
     std::vector<int> digits_;
     std::vector<int> dense_counts_;  ///< digits scattered per type id
     std::vector<pace::Bsb_cost> costs_;
-    // Gain-bound state (bounding_): coverage of the subtree's maximal
-    // completion, and the exact-cost overlay (det_enabled_).
+    // Gain-bound state (pruning only): coverage of the subtree's
+    // maximal completion, and the exact-cost overlay.
     std::vector<int> n_exec_;
     std::vector<int> missing_;
     std::vector<int> avail_;      ///< per kind: capacity under the prefix
@@ -919,16 +930,6 @@ private:
     std::vector<double> cur_red_;
     double exact_sum_ = 0.0;
     std::vector<std::pair<double, double>> lp_items_;  ///< (red, area)
-    /// Per-worker DP arena: the Walker is constructed inside the
-    /// worker task, so the workspace's rows are first-touched — and
-    /// stay — on the core that sweeps this chunk.  Declared before the
-    /// workspace it backs (destruction order).
-    util::Arena pace_arena_;
-    pace::Pace_workspace pace_ws_{&pace_arena_};
-    /// The workspace this chunk actually sweeps with: the private
-    /// member above, or a session-persistent Dp_workspace_pool slot
-    /// whose checkpoint survives into the next solve.
-    pace::Pace_workspace* ws_ = &pace_ws_;
 };
 
 /// Evaluate a few promising fitting points before the walk so every
@@ -939,7 +940,7 @@ private:
 /// enumeration scores anyway, so the best tuple is unchanged.
 double prime_incumbent(const Eval_context& ctx,
                        const std::vector<Dim_info>& dims, double max_area,
-                       Eval_cache* cache)
+                       Eval_cache& cache)
 {
     std::vector<core::Rmap> probes;
 
@@ -980,12 +981,7 @@ double prime_incumbent(const Eval_context& ctx,
         // Value-only DP: the probe's exact achievable hybrid time (up
         // to float summation order, which the prune slack absorbs) at
         // a fraction of a full evaluation.
-        if (cache != nullptr)
-            cache->costs_for(p, costs);
-        else
-            costs = pace::build_cost_model(ctx.bsbs, ctx.lib, ctx.target, p,
-                                           ctx.ctrl_mode, ctx.storage,
-                                           ctx.scheduler);
+        cache.costs_for(p, costs);
         pace::Pace_options opts;
         opts.ctrl_area_budget = max_area - p_area;
         opts.area_quantum = ctx.area_quantum;
@@ -998,14 +994,16 @@ double prime_incumbent(const Eval_context& ctx,
 
 }  // namespace
 
-Search_result exhaustive_engine(const Eval_context& ctx,
-                                const core::Rmap& restrictions,
-                                const Exhaustive_options& options)
+Solve_result solve_exhaustive_bb(Session& session,
+                                 const Solve_options& options)
 {
     util::Wall_timer timer;
-    const Alloc_space space(ctx.lib, restrictions);
+    extras_or_default<std::monostate>(options, "exhaustive_bb");
+    const Eval_context& ctx = session.context();
+    const search::Alloc_space space(ctx.lib, session.problem().restrictions);
 
-    Search_result result;
+    Solve_result result;
+    result.strategy = "exhaustive_bb";
     result.space_size = space.size();
 
     const long long n = space.size();
@@ -1019,13 +1017,12 @@ Search_result exhaustive_engine(const Eval_context& ctx,
     const long long w_end = options.window.whole() ? n : options.window.end;
     if (w_begin < 0 || w_begin > w_end || w_end > n)
         throw std::invalid_argument(
-            "exhaustive_engine: window [" + std::to_string(w_begin) + ", " +
+            "exhaustive_bb: window [" + std::to_string(w_begin) + ", " +
             std::to_string(w_end) + ") outside the space [0, " +
             std::to_string(n) + ")");
     const long long n_work = w_end - w_begin;
     if (n_work == 0) {
         result.seconds = timer.seconds();
-        result.n_threads = 1;
         return result;
     }
 
@@ -1050,41 +1047,16 @@ Search_result exhaustive_engine(const Eval_context& ctx,
 
     const bool use_pruning = options.use_pruning && !span_overflow;
     const double max_area = ctx.target.asic.total_area;
+    const Eval_context run_ctx = search_context(session, options.cancel);
 
-    // Pin the DP table width to the total ASIC area so the per-worker
-    // Pace_workspace checkpoints stay valid across leaves with
-    // different leftover controller budgets (value rows are
-    // budget-independent for a fixed quantum and width — see
-    // Pace_options::table_area_budget).  Only with an explicit search
-    // quantum: the automatic quantum derives from the budget, and
-    // widening the table would change it, i.e. change results versus
-    // a caller re-evaluating the winner with the same context.
-    Eval_context run_ctx = ctx;
-    if (ctx.area_quantum > 0.0)
-        run_ctx.dp_table_budget = max_area;
-    run_ctx.cancel = options.cancel;
-
-    // Worker 0's cache is either the caller's shared cache or one
-    // built up front — so the incumbent-priming probes below warm the
-    // very cache the first chunk then searches with.
-    std::optional<Eval_cache> primed_cache;
-    Eval_cache* chunk0_cache = options.shared_cache;
-    // For an external shared cache, snapshot before priming so the
-    // probes' lookups are reported exactly like a private cache's.
-    Eval_cache_stats shared_before;
-    if (chunk0_cache != nullptr)
-        shared_before = chunk0_cache->stats();
-    if (options.use_cache && chunk0_cache == nullptr) {
-        primed_cache.emplace(ctx, options.cache_capacity,
-                             options.invariants);
-        chunk0_cache = &*primed_cache;
-    }
+    // Worker 0 searches with the session cache, so the incumbent-
+    // priming probes below warm the very cache the first chunk uses.
+    const Worker_caches caches(session, options.cache_capacity);
 
     Prune_model model;
     double prime_time = std::numeric_limits<double>::infinity();
     if (use_pruning) {
-        model = build_prune_model(
-            ctx, dims, options.use_cache ? chunk0_cache : nullptr);
+        model = build_prune_model(ctx, dims, caches.session_cache());
         // Priming only without a cancel token: the probe time belongs
         // to a point the truncated prefix may never reach, so pruning
         // against it could leave an anytime run without the best point
@@ -1092,35 +1064,22 @@ Search_result exhaustive_engine(const Eval_context& ctx,
         // nothing but speed — the bound prunes are all incumbent-led.)
         if (options.cancel == nullptr)
             prime_time = prime_incumbent(run_ctx, dims, max_area,
-                                         options.use_cache ? chunk0_cache
-                                                           : nullptr);
+                                         caches.session_cache());
     }
 
     // Session-persistent workspaces: grow the pool to one slot per
     // chunk and open a new pass (surviving checkpoints become
     // "foreign", i.e. cross-request) before any worker touches a slot
     // — slot creation is not thread-safe.
-    if (options.dp_pool != nullptr)
-        options.dp_pool->prepare(n_threads);
+    search::Dp_workspace_pool& dp_pool = session.workspaces();
+    dp_pool.prepare(n_threads);
 
     std::vector<Chunk_result> chunks(n_threads);
     const auto run_chunk = [&](std::size_t c, long long begin, long long end) {
         Chunk_result& out = chunks[c];
-        Eval_cache* cache = nullptr;
         std::optional<Eval_cache> own_cache;
-        if (options.use_cache) {
-            if (c == 0) {
-                cache = chunk0_cache;
-            }
-            else {
-                own_cache.emplace(ctx, options.cache_capacity,
-                                  options.invariants);
-                cache = &*own_cache;
-            }
-        }
-        pace::Pace_workspace* slot_ws =
-            options.dp_pool != nullptr ? &options.dp_pool->slot(c).pace
-                                       : nullptr;
+        Eval_cache& cache = caches.worker(c, own_cache);
+        pace::Pace_workspace& ws = dp_pool.slot(c).pace;
         if (span_overflow) {
             // Saturated spaces cannot be walked as a tree (index
             // arithmetic would overflow); fall back to the linear loop.
@@ -1128,30 +1087,21 @@ Search_result exhaustive_engine(const Eval_context& ctx,
             // injected cut has no per-leaf index here and is not
             // applied (the fallback is unreachable below saturated
             // space sizes, which the fault-injection tests never are).
-            std::optional<util::Arena> arena;
-            std::optional<pace::Pace_workspace> own_ws;
-            pace::Pace_workspace* ws = slot_ws;
-            if (ws == nullptr) {
-                // per-worker: this lambda IS the task body
-                arena.emplace();
-                own_ws.emplace(&*arena);
-                ws = &*own_ws;
-            }
-            const long long reused0 = ws->rows_reused();
-            const long long swept0 = ws->rows_swept();
-            const long long foreign0 = ws->rows_reused_foreign();
+            const long long reused0 = ws.rows_reused();
+            const long long swept0 = ws.rows_swept();
+            const long long foreign0 = ws.rows_reused_foreign();
             const auto* cancel = options.cancel;
             std::uint64_t polls = 0;
             space.for_each_range(begin, end, max_area,
                                  [&](const core::Rmap& a) {
                                      const Evaluation ev =
-                                         evaluate_allocation(run_ctx, a,
-                                                             cache, ws);
+                                         search::evaluate_allocation(
+                                             run_ctx, a, &cache, &ws);
                                      ++out.n_evaluated;
                                      if (cancel != nullptr)
                                          cancel->charge_evals(1);
                                      if (!out.have_best ||
-                                         better_than(ev, out.best)) {
+                                         search::better_than(ev, out.best)) {
                                          out.best = ev;
                                          out.have_best = true;
                                      }
@@ -1163,21 +1113,17 @@ Search_result exhaustive_engine(const Eval_context& ctx,
                                      }
                                      return true;
                                  });
-            out.dp_rows_reused += ws->rows_reused() - reused0;
-            out.dp_rows_swept += ws->rows_swept() - swept0;
-            out.dp_rows_foreign += ws->rows_reused_foreign() - foreign0;
+            out.dp_rows_reused += ws.rows_reused() - reused0;
+            out.dp_rows_swept += ws.rows_swept() - swept0;
+            out.dp_rows_foreign += ws.rows_reused_foreign() - foreign0;
         }
         else {
             Walker walker(run_ctx, dims, model, use_pruning, max_area,
                           prime_time, begin, end, cache,
-                          options.incumbent_bound, out, slot_ws);
+                          options.incumbent_bound, out, ws);
             walker.run();
         }
-        if (cache != nullptr) {
-            out.stats = cache == options.shared_cache
-                            ? cache->stats().minus(shared_before)
-                            : cache->stats();
-        }
+        out.stats = caches.stats(cache);
     };
 
     // The chunk split runs over the window's units; the walkers want
@@ -1187,23 +1133,16 @@ Search_result exhaustive_engine(const Eval_context& ctx,
         run_chunk(c, w_begin + begin, w_begin + end);
     };
     std::size_t chunks_skipped = 0;
-    if (n_threads == 1) {
+    if (n_threads == 1)
         run_chunk(0, w_begin, w_end);
-    }
-    else if (options.pool != nullptr) {
-        chunks_skipped = util::parallel_chunks(
-            *options.pool, n_work, n_threads, run_chunk_abs, options.cancel);
-    }
-    else {
-        util::Thread_pool pool(n_threads);
-        chunks_skipped = util::parallel_chunks(pool, n_work, n_threads,
-                                               run_chunk_abs, options.cancel);
-    }
+    else
+        chunks_skipped =
+            util::parallel_chunks(session.pool(n_threads), n_work,
+                                  n_threads, run_chunk_abs, options.cancel);
 
     // Reduce in chunk (= enumeration) order with the same strict
     // comparison the per-chunk loops used, so ties resolve toward the
     // lowest index exactly as the sequential search did.
-    bool have_best = false;
     for (const auto& chunk : chunks) {
         result.n_evaluated += chunk.n_evaluated;
         result.n_pruned += chunk.n_pruned;
@@ -1215,24 +1154,17 @@ Search_result exhaustive_engine(const Eval_context& ctx,
         result.chunks_abandoned += chunk.abandoned ? 1 : 0;
         result.cache_stats += chunk.stats;
         if (chunk.have_best &&
-            (!have_best || better_than(chunk.best, result.best))) {
+            (!result.have_best ||
+             search::better_than(chunk.best, result.best))) {
             result.best = chunk.best;
-            have_best = true;
+            result.have_best = true;
         }
     }
-    result.have_best = have_best;
     result.chunks_abandoned += static_cast<long long>(chunks_skipped);
-    if (options.cancel != nullptr) {
-        result.status = options.cancel->status();
-        // Injected-cut refusals never set the token's flag; any
-        // leftover abandonment with a clean token is that cut.
-        if (result.status == util::Solve_status::complete &&
-            (result.rows_abandoned > 0 || result.chunks_abandoned > 0))
-            result.status = util::Solve_status::cancelled;
-    }
+    settle_status(result, options.cancel);
 
     result.seconds = timer.seconds();
     return result;
 }
 
-}  // namespace lycos::search
+}  // namespace lycos::solver::detail

@@ -119,14 +119,6 @@ void set_asic1_costs(std::span<const pace::Bsb_cost> c1,
         out[k].hw[1] = c1[k];
 }
 
-void combine_costs(std::span<const pace::Bsb_cost> c0,
-                   std::span<const pace::Bsb_cost> c1,
-                   std::vector<pace::Multi_bsb_cost>& out)
-{
-    set_asic0_costs(c0, out);
-    set_asic1_costs(c1, out);
-}
-
 /// Per-BSB best case over every asic1 axis point — the admissible
 /// relaxation behind the row bound.  Each field is optimistic
 /// independently (the jointly-best point need not exist), so any DP
@@ -183,6 +175,14 @@ Axis_relaxation relax_axis(std::span<const Axis_point> axis,
 }
 
 }  // namespace
+
+void combine_costs(std::span<const pace::Bsb_cost> c0,
+                   std::span<const pace::Bsb_cost> c1,
+                   std::vector<pace::Multi_bsb_cost>& out)
+{
+    set_asic0_costs(c0, out);
+    set_asic1_costs(c1, out);
+}
 
 Solve_result solve_multi_asic_bb(Session& session,
                                  const Solve_options& options)
@@ -261,23 +261,12 @@ Solve_result solve_multi_asic_bb(Session& session,
         return out;
     }
 
-    // Resolve the shared immutable invariants before any worker runs:
-    // Session::invariants() is lazily computed and not thread-safe.
-    const auto invariants = session.invariants();
-
     // Shared prep: the all-software baseline, the float-safety slack,
     // the a1 cost table and its relaxation behind the row bound, and a
     // primed time-to-beat from the greedy probe pair so every worker
-    // prunes from the start.  The prep runs on worker 0's cache so
-    // worker 0 starts warm — but only when caching is on: an uncached
-    // solve must not instantiate the session cache, so it fetches
-    // through a throwaway.
-    search::Eval_cache* chunk0_cache = nullptr;
-    search::Eval_cache_stats shared_before;
-    if (options.use_cache) {
-        chunk0_cache = &session.cache(options.cache_capacity);
-        shared_before = chunk0_cache->stats();
-    }
+    // prunes from the start.  The prep runs on the session cache, so
+    // worker 0 starts warm.
+    const Worker_caches caches(session, options.cache_capacity);
 
     const bool use_row_bound = options.use_pruning && extras.use_row_bound;
     const std::size_t n_bsbs = ctx.bsbs.size();
@@ -291,12 +280,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     double prime_time = std::numeric_limits<double>::infinity();
     Axis_relaxation relax1;
     {
-        std::optional<search::Eval_cache> prep_local;
-        search::Eval_cache& prep =
-            chunk0_cache != nullptr
-                ? *chunk0_cache
-                : prep_local.emplace(ctx, options.cache_capacity,
-                                     invariants);
+        search::Eval_cache& prep = caches.session_cache();
         std::vector<pace::Bsb_cost> probe0;
         std::vector<pace::Bsb_cost> probe1;
         std::vector<pace::Multi_bsb_cost> probe_costs;
@@ -369,18 +353,8 @@ Solve_result solve_multi_asic_bb(Session& session,
     const util::Shared_bound* ext = options.incumbent_bound;
     const auto run_worker = [&](std::size_t c) {
         Pair_chunk& chunk = chunks[c];
-        search::Eval_cache* cache = nullptr;
         std::optional<search::Eval_cache> own_cache;
-        if (options.use_cache && c == 0)
-            cache = chunk0_cache;
-        if (cache == nullptr) {
-            // Workers 1..n-1 — and every worker of an uncached run —
-            // use a private cache; the row walk always fetches costs
-            // through one (memoized values are bit-identical to
-            // direct builds), uncached mode just drops the sharing.
-            own_cache.emplace(ctx, options.cache_capacity, invariants);
-            cache = &*own_cache;
-        }
+        search::Eval_cache& cache = caches.worker(c, own_cache);
 
         std::vector<pace::Bsb_cost> costs0;
         std::vector<pace::Multi_bsb_cost> mcosts;
@@ -415,7 +389,7 @@ Solve_result solve_multi_asic_bb(Session& session,
             const auto& p0 = axis[0][static_cast<std::size_t>(i)];
             // The final row of a truncated prefix may be partial.
             const long long j_end = std::min(f1, walked - i * f1);
-            cache->costs_for(p0.alloc, costs0);
+            cache.costs_for(p0.alloc, costs0);
             set_asic0_costs(costs0, mcosts);
             ++chunk.rows_visited;
 
@@ -546,11 +520,7 @@ Solve_result solve_multi_asic_bb(Session& session,
             if (chunk.stopped)
                 break;
         }
-        if (options.use_cache && cache != nullptr) {
-            chunk.stats = cache == chunk0_cache
-                              ? cache->stats().minus(shared_before)
-                              : cache->stats();
-        }
+        chunk.stats = caches.stats(cache);
     };
 
     std::size_t workers_skipped = 0;
@@ -600,13 +570,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     out.have_best = have_best;
     out.rows_abandoned += r_end - std::min(next_row.load(), r_end);
     out.chunks_abandoned += static_cast<long long>(workers_skipped);
-    if (options.cancel != nullptr) {
-        const auto status = options.cancel->status();
-        if (status != util::Solve_status::complete)
-            out.status = status;
-        else if (out.rows_abandoned > 0 || out.chunks_abandoned > 0)
-            out.status = util::Solve_status::cancelled;
-    }
+    settle_status(out, options.cancel);
 
     out.seconds = timer.seconds();
     return out;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "search/alloc_space.hpp"
-#include "search/exhaustive.hpp"
 #include "search/workspace_pool.hpp"
 #include "solver/internal.hpp"
 #include "util/thread_pool.hpp"
@@ -102,14 +101,6 @@ std::vector<Problem_defect> Problem::validate() const
         defects.push_back({"area_quantum",
                            "non-finite PACE area quantum (" +
                                std::to_string(area_quantum) + ")"});
-    if (dp_table_budget < 0.0)
-        defects.push_back({"dp_table_budget",
-                           "negative DP table budget (" +
-                               std::to_string(dp_table_budget) + ")"});
-    if (!finite(dp_table_budget))
-        defects.push_back({"dp_table_budget",
-                           "non-finite DP table budget (" +
-                               std::to_string(dp_table_budget) + ")"});
     if (lib != nullptr) {
         // Hw_library::add already rejects non-finite and non-positive
         // areas; this re-check is defence in depth for a library that
@@ -140,10 +131,10 @@ std::vector<Problem_defect> Problem::validate() const
 
 Session::Session(Problem problem)
     : problem_(std::move(problem)),
-      ctx_{problem_.bsbs,          validated_lib(problem_),
-           problem_.target,        problem_.ctrl_mode,
-           problem_.area_quantum,  problem_.storage,
-           problem_.scheduler,     problem_.dp_table_budget}
+      ctx_{problem_.bsbs,         validated_lib(problem_),
+           problem_.target,       problem_.ctrl_mode,
+           problem_.area_quantum, problem_.storage,
+           problem_.scheduler}
 {
 }
 
@@ -237,16 +228,18 @@ Solve_result Session::solve(std::string_view strategy,
 
 Solve_result Session::solve(const Solve_options& options)
 {
-    return solve(space_size() <= exhaustive_limit ? "exhaustive_bb"
-                                                  : "hill_climb",
-                 options);
+    return solve(auto_strategy(), options);
+}
+
+std::string_view Session::auto_strategy() const
+{
+    return space_size() <= exhaustive_limit ? "exhaustive_bb" : "hill_climb";
 }
 
 search::Evaluation Session::rescore(const core::Rmap& datapath)
 {
     search::Eval_context fine = ctx_;
     fine.area_quantum = 0.0;
-    fine.dp_table_budget = 0.0;
     return search::evaluate_allocation(fine, datapath, &cache());
 }
 

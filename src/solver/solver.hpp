@@ -5,8 +5,8 @@
 // owns, once, the caches, workspaces and thread pools every search
 // needs:
 //
-//   Problem   what to solve: BSBs, target ASIC(s), restrictions and
-//             the objective — a pure description, no machinery.
+//   Problem   what to solve: BSBs, target ASIC(s) and restrictions —
+//             a pure description, no machinery.
 //   Session   the machinery for one problem: the thread pool, the
 //             shared Eval_cache serving worker 0 and re-scores, and —
 //             computed once and read by every worker — the shared
@@ -17,12 +17,16 @@
 //             (iterated restarts with value-DP screening), and
 //             `multi_asic_bb` — the first multi-ASIC allocation
 //             *search*, enumerating two-ASIC allocation pairs over
-//             the Pareto-sparse DP.
+//             the Pareto-sparse DP.  Each one is a function of the
+//             Session and the Solve_options; it takes its pool,
+//             caches, invariants and DP workspaces from the Session.
 //
-// Determinism contract (all strategies): the best tuple is
-// bit-identical for any thread count, any chunking, any cache
-// capacity, shared or private invariants, and for a reused Session
-// as for a fresh one (pinned by tests/test_solver.cpp).
+// The objective is the paper's, for every strategy: minimal hybrid
+// execution time, ties toward smaller data-path area, then toward
+// enumeration order.  Determinism contract (all strategies): the best
+// tuple is bit-identical for any thread count, any chunking, any
+// cache capacity, and for a reused Session as for a fresh one (pinned
+// by tests/test_solver.cpp).
 #pragma once
 
 #include <array>
@@ -51,14 +55,6 @@ class Dp_workspace_pool;
 
 namespace lycos::solver {
 
-/// What the search optimizes.  One objective today — the paper's:
-/// minimal hybrid execution time, ties toward smaller data-path area,
-/// then toward enumeration order.  The enum pins that contract in the
-/// Problem instead of leaving it implicit in each entry point.
-enum class Objective {
-    min_hybrid_time,
-};
-
 /// One structural defect of a Problem description, as reported by
 /// Problem::validate: which field is wrong and why, in plain words.
 struct Problem_defect {
@@ -67,8 +63,8 @@ struct Problem_defect {
 };
 
 /// A complete description of one allocation-search problem: the
-/// application, the target silicon, the §4.3 restrictions bounding
-/// the space, and the objective.  Pure data — building one runs
+/// application, the target silicon and the §4.3 restrictions bounding
+/// the space.  Pure data — building one runs
 /// nothing; a Session adds the machinery.  The referenced BSBs,
 /// library and storage model must outlive every Session built from
 /// the Problem (the target is held by value).
@@ -77,17 +73,12 @@ struct Problem {
     const hw::Hw_library* lib = nullptr;
     hw::Target target;
     core::Rmap restrictions;
-    Objective objective = Objective::min_hybrid_time;
 
     pace::Controller_mode ctrl_mode = pace::Controller_mode::list_schedule;
 
     /// PACE area quantum used while searching (0 = exact default);
     /// Session::rescore always re-evaluates at the exact quantum.
     double area_quantum = 0.0;
-
-    /// Forwarded to Eval_context::dp_table_budget (the engines pin it
-    /// themselves when a search quantum is set).
-    double dp_table_budget = 0.0;
 
     const estimate::Storage_model* storage = nullptr;
     sched::Scheduler_kind scheduler = sched::Scheduler_kind::event_driven;
@@ -146,18 +137,16 @@ struct Multi_asic_extras {
 
 /// Unified knobs across strategies; per-strategy extras ride in the
 /// variant (monostate = strategy defaults; a mismatched alternative
-/// throws).  Where a flat knob cannot apply it says so below, rather
-/// than pretending: hill_climb and multi_asic_bb evaluate *through*
-/// memoized costs by construction, so for them use_cache=false only
-/// drops the shared session cache (each worker still memoizes
-/// privately, bounded by cache_capacity).  For hill_climb,
-/// use_pruning toggles the admissible proxy-cost screen on neighbour
-/// evaluation (Eval_cache::find_one + optimistic stand-in costs;
-/// candidates the proxy proves non-improving skip their exact screen
-/// — the climb trajectory and best tuple are identical either way).
+/// throws).  Every strategy evaluates through memoized per-BSB costs:
+/// worker 0 on the session cache, every other worker on a private
+/// cache, each bounded by cache_capacity (results are bit-identical
+/// for any capacity).  For hill_climb, use_pruning toggles the
+/// admissible proxy-cost screen on neighbour evaluation
+/// (Eval_cache::find_one + optimistic stand-in costs; candidates the
+/// proxy proves non-improving skip their exact screen — the climb
+/// trajectory and best tuple are identical either way).
 struct Solve_options {
     int n_threads = 0;        ///< 0 = hardware concurrency
-    bool use_cache = true;    ///< memoize per-BSB scheduling (see above)
     bool use_pruning = true;  ///< branch-and-bound / screening prunes
     std::size_t cache_capacity = 0;  ///< per-worker cache cap (0 = unbounded)
 
@@ -207,7 +196,7 @@ struct Solve_options {
     /// window is set.
     util::Chunk_range window;
 
-    /// Optional cross-process incumbent bound sampled by the engines
+    /// Optional cross-process incumbent bound sampled by the strategies
     /// (chunk entry, strided leaf polls, row boundaries) and folded
     /// into the prune threshold.  Every value stored in it must be
     /// the hybrid time of a fully evaluated real point of the space —
@@ -323,7 +312,7 @@ class Session;
 
 /// A registered way to search a Problem.  Strategies are stateless
 /// singletons; all per-solve state lives in the Session and in the
-/// engine calls.
+/// solve call.
 class Strategy {
 public:
     virtual ~Strategy() = default;
@@ -382,9 +371,8 @@ public:
     util::Thread_pool& pool(std::size_t n_threads);
 
     /// The session-owned persistent DP workspace pool (created on
-    /// first use): every solve lends it to the engines as
-    /// Exhaustive_options::dp_pool, so worker c's incremental-PACE
-    /// checkpoint survives between solves and a repeat solve of the
+    /// first use): worker c of every solve sweeps on slot c, so its
+    /// incremental-PACE checkpoint survives between solves and a repeat solve of the
     /// same (quantum, width) fingerprint resumes at the first
     /// divergent cost row instead of re-sweeping — the serve layer's
     /// cross-request warm start (Solve_result::
@@ -410,10 +398,13 @@ public:
                        const Solve_options& options,
                        const util::Cancel_token& cancel);
 
-    /// Auto strategy pick, mirroring the paper's treatment: exhaustive
-    /// when the space is within `exhaustive_limit` evaluations, else
-    /// iterated hill climbing.
+    /// Run the auto_strategy() pick.
     Solve_result solve(const Solve_options& options = {});
+
+    /// The auto strategy pick, mirroring the paper's treatment:
+    /// exhaustive_bb when the space is within `exhaustive_limit`
+    /// evaluations, else iterated hill climbing.
+    std::string_view auto_strategy() const;
 
     /// Re-evaluate `datapath` at the exact (quantum-free) evaluation
     /// settings through the session cache — schedules are quantum-

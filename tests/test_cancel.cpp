@@ -565,12 +565,11 @@ TEST(ProblemValidate, rejects_non_finite_profiles_and_metrics)
         ASSERT_EQ(defects.size(), 1u);
         EXPECT_EQ(defects[0].field, "target");
     }
-    {  // non-finite quanta and budgets
+    {  // non-finite quantum and budgets
         auto p = small_problem(lib, bsbs);
         p.area_quantum = nan;
-        p.dp_table_budget = inf;
         p.asic_areas = {nan, 100.0};
-        EXPECT_EQ(p.validate().size(), 3u);
+        EXPECT_EQ(p.validate().size(), 2u);
     }
 }
 
@@ -594,7 +593,7 @@ TEST(ProblemValidate, session_throws_one_joined_report)
 {
     lso::Problem p;
     p.target = lh::make_default_target(3000.0);
-    p.dp_table_budget = -1.0;
+    p.area_quantum = -1.0;
     try {
         lso::Session session(p);
         FAIL() << "expected std::invalid_argument";
@@ -604,6 +603,6 @@ TEST(ProblemValidate, session_throws_one_joined_report)
         // One throw, every defect named.
         EXPECT_NE(what.find("lib"), std::string::npos);
         EXPECT_NE(what.find("bsbs"), std::string::npos);
-        EXPECT_NE(what.find("dp_table_budget"), std::string::npos);
+        EXPECT_NE(what.find("area_quantum"), std::string::npos);
     }
 }

@@ -13,8 +13,9 @@
 //   * end-to-end coordinator/worker runs over loopback TCP —
 //     bit-identical to a local Session::solve for 1/2/4 workers, for
 //     both leasable strategies, under the seeded chaos kill, under a
-//     lease timeout against a stalling worker, and with no workers at
-//     all (pure local fallback).
+//     lease timeout against a stalling worker, against a worker
+//     speaking an older protocol version (refused), and with no
+//     workers at all (pure local fallback).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -282,7 +283,6 @@ TEST(Wire, job_round_trip_preserves_the_problem_and_is_canonical)
     m.problem = ld::Problem_blob::from_problem(problem);
     m.strategy = "exhaustive_bb";
     m.options.n_threads = 3;
-    m.options.use_cache = true;
     m.options.use_pruning = false;
     m.options.cache_capacity = 4096;
     m.options.pair_limit = 123456;
@@ -767,6 +767,59 @@ TEST(Distributed, lease_timeout_recovers_from_a_stalling_worker)
     EXPECT_EQ(r.dist.workers_lost, 1);
     EXPECT_GE(r.dist.leases_reassigned, 1);
     EXPECT_GT(r.dist.leases_solved_locally, 0);
+    EXPECT_EQ(r.n_evaluated + r.n_pruned, local.space_size);
+}
+
+TEST(Distributed, refuses_a_worker_speaking_an_older_protocol)
+{
+    const auto hal = make_hal_problem();
+    const auto problem = hal.problem();
+    lso::Session session(problem);
+    const auto local = session.solve("exhaustive_bb", {.n_threads = 1});
+
+    // A raw client whose hello carries protocol version 1, which the
+    // job encoding has since outgrown.  The coordinator must drop it
+    // without shipping the job, then solve every range itself.
+    constexpr std::uint32_t k_old_version = 1;
+    ASSERT_NE(ld::k_protocol_version, k_old_version);
+    std::thread stale;
+    long received = 0;
+    ld::Coordinator_options co;
+    co.strategy = "exhaustive_bb";
+    co.solve.n_threads = 1;
+    co.n_workers = 1;
+    co.accept_timeout_ms = 1000.0;
+    co.on_listen = [&](std::uint16_t port) {
+        stale = std::thread([port, &received] {
+            lu::Fd fd;
+            try {
+                fd = lu::connect_tcp("127.0.0.1", port, 2000);
+            }
+            catch (const std::exception&) {
+                return;
+            }
+            ld::Wire_writer w;
+            w.u32(k_old_version);
+            const auto hello = ld::frame(ld::Msg::hello, w.take());
+            if (!lu::send_all(fd, hello.data(), hello.size()))
+                return;
+            // Count whatever arrives until the coordinator hangs up.
+            std::uint8_t buf[4096];
+            long n = 0;
+            while ((n = lu::recv_some(fd, buf, sizeof buf)) > 0)
+                received += n;
+        });
+    };
+    const auto r = ld::solve_distributed(problem, co);
+    if (stale.joinable())
+        stale.join();
+
+    EXPECT_EQ(received, 0);  // no job, no lease, no done
+    EXPECT_EQ(r.dist.workers_lost, 1);
+    EXPECT_EQ(r.dist.n_workers, 0);
+    EXPECT_GT(r.dist.leases_solved_locally, 0);
+    ASSERT_TRUE(r.have_best);
+    expect_same_single(r, local, "old-protocol worker");
     EXPECT_EQ(r.n_evaluated + r.n_pruned, local.space_size);
 }
 

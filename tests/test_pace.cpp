@@ -418,27 +418,6 @@ TEST(Pace, checkpoint_cap_falls_back_and_stays_correct)
     EXPECT_EQ(again.time_hybrid_ns, first.time_hybrid_ns);
 }
 
-TEST(Pace, max_gain_bounds_every_partition)
-{
-    lycos::util::Rng rng(3);
-    for (int trial = 0; trial < 20; ++trial) {
-        const int n = rng.uniform_int(1, 10);
-        std::vector<lp::Bsb_cost> costs;
-        for (int i = 0; i < n; ++i)
-            costs.push_back(make_cost(rng.uniform_real(100, 5000),
-                                      rng.uniform_real(50, 3000),
-                                      rng.uniform_real(0, 200),
-                                      i > 0 ? rng.uniform_real(0, 100) : 0,
-                                      rng.uniform_int(1, 60)));
-        const double budget = rng.uniform_int(20, 300);
-        const auto dp = lp::pace_partition(
-            costs, {.ctrl_area_budget = budget, .area_quantum = 1.0});
-        const double saving = dp.time_all_sw_ns - dp.time_hybrid_ns;
-        EXPECT_LE(saving, lp::max_gain(costs) + 1e-9)
-            << "max_gain not admissible for trial " << trial;
-    }
-}
-
 TEST(Pace, best_saving_matches_full_partition)
 {
     lycos::util::Rng rng(9);

@@ -7,15 +7,16 @@
 #include "apps/random_app.hpp"
 #include "core/allocator.hpp"
 #include "hw/target.hpp"
+#include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
-#include "search/exhaustive.hpp"
-#include "search/hill_climb.hpp"
+#include "solver/solver.hpp"
 #include "util/rng.hpp"
 
 namespace lc = lycos::core;
 namespace lh = lycos::hw;
 namespace lb = lycos::bsb;
 namespace lse = lycos::search;
+namespace lso = lycos::solver;
 using lh::Op_kind;
 
 namespace {
@@ -44,6 +45,51 @@ std::vector<lb::Bsb> small_app()
     cold.profile = 2.0;
     bsbs.push_back(std::move(cold));
     return bsbs;
+}
+
+/// The Session-side twin of `ctx` restricted to `bounds`.
+lso::Problem problem_of(const lse::Eval_context& ctx, const lc::Rmap& bounds)
+{
+    lso::Problem p;
+    p.bsbs = ctx.bsbs;
+    p.lib = &ctx.lib;
+    p.target = ctx.target;
+    p.restrictions = bounds;
+    p.ctrl_mode = ctx.ctrl_mode;
+    p.area_quantum = ctx.area_quantum;
+    p.scheduler = ctx.scheduler;
+    return p;
+}
+
+/// One solve on a fresh (cold) Session.
+lso::Solve_result solve(const lse::Eval_context& ctx, const lc::Rmap& bounds,
+                        std::string_view strategy,
+                        const lso::Solve_options& options = {})
+{
+    lso::Session session(problem_of(ctx, bounds));
+    return session.solve(strategy, options);
+}
+
+/// The reference every exhaustive_bb answer must match: every fitting
+/// point in enumeration order, scored from scratch under `ctx` (no
+/// cache, no pruning, one thread), the strict better_than keeping the
+/// earliest of tied points.
+struct Flat_walk {
+    lse::Evaluation best;
+    long long n_fitting = 0;
+};
+
+Flat_walk flat_walk(const lse::Eval_context& ctx, const lc::Rmap& bounds)
+{
+    Flat_walk out;
+    lse::Alloc_space(ctx.lib, bounds)
+        .for_each(ctx.target.asic.total_area, [&](const lc::Rmap& a) {
+            auto ev = lse::evaluate_allocation(ctx, a);
+            if (out.n_fitting++ == 0 || lse::better_than(ev, out.best))
+                out.best = std::move(ev);
+            return true;
+        });
+    return out;
 }
 
 }  // namespace
@@ -146,7 +192,7 @@ TEST(Exhaustive, finds_at_least_the_allocator_result)
     lc::Rmap bounds;
     bounds.set(0, 2);
     bounds.set(1, 3);
-    const auto best = lse::exhaustive_engine(ctx, bounds);
+    const auto best = solve(ctx, bounds, "exhaustive_bb");
 
     EXPECT_GE(best.best.speedup_pct(), heuristic_eval.speedup_pct() - 1e-9);
     EXPECT_GT(best.n_evaluated, 0);
@@ -220,35 +266,29 @@ TEST(Exhaustive, parallel_and_cached_match_sequential_uncached)
     bounds.set(0, 2);
     bounds.set(1, 3);
 
-    const auto reference = lse::exhaustive_engine(
-        ctx, bounds,
-        {.n_threads = 1, .use_cache = false, .use_pruning = false});
+    const auto reference = flat_walk(ctx, bounds);
     for (int n_threads : {1, 2, 3, 7}) {
-        for (bool use_cache : {false, true}) {
-            for (bool use_pruning : {false, true}) {
-                const auto r = lse::exhaustive_engine(
-                    ctx, bounds,
-                    {.n_threads = n_threads, .use_cache = use_cache,
-                     .use_pruning = use_pruning});
-                EXPECT_EQ(r.best.datapath, reference.best.datapath);
-                EXPECT_EQ(r.best.partition.time_hybrid_ns,
-                          reference.best.partition.time_hybrid_ns);
-                EXPECT_EQ(r.best.datapath_area, reference.best.datapath_area);
-                if (use_pruning) {
-                    // Branch-and-bound may skip a chunking-dependent
-                    // number of points, but every point must be either
-                    // scored or provably pruned.
-                    EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size);
-                    EXPECT_LE(r.n_evaluated, reference.n_evaluated);
-                }
-                else {
-                    EXPECT_EQ(r.n_evaluated, reference.n_evaluated);
-                    EXPECT_EQ(r.n_pruned, 0);
-                }
-                if (use_cache && !use_pruning)
-                    EXPECT_EQ(r.cache_stats.hits + r.cache_stats.misses,
-                              r.n_evaluated *
-                                  static_cast<long long>(bsbs.size()));
+        for (bool use_pruning : {false, true}) {
+            const auto r =
+                solve(ctx, bounds, "exhaustive_bb",
+                      {.n_threads = n_threads, .use_pruning = use_pruning});
+            EXPECT_EQ(r.best.datapath, reference.best.datapath);
+            EXPECT_EQ(r.best.partition.time_hybrid_ns,
+                      reference.best.partition.time_hybrid_ns);
+            EXPECT_EQ(r.best.datapath_area, reference.best.datapath_area);
+            if (use_pruning) {
+                // Branch-and-bound may skip a chunking-dependent
+                // number of points, but every point must be either
+                // scored or provably pruned.
+                EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size);
+                EXPECT_LE(r.n_evaluated, reference.n_fitting);
+            }
+            else {
+                EXPECT_EQ(r.n_evaluated, reference.n_fitting);
+                EXPECT_EQ(r.n_pruned, 0);
+                EXPECT_EQ(r.cache_stats.hits + r.cache_stats.misses,
+                          r.n_evaluated *
+                              static_cast<long long>(bsbs.size()));
             }
         }
     }
@@ -262,7 +302,7 @@ TEST(Exhaustive, empty_restrictions_single_point)
     const lse::Eval_context ctx{bsbs, lib, target,
                                 lycos::pace::Controller_mode::optimistic_eca,
                                 1.0};
-    const auto r = lse::exhaustive_engine(ctx, lc::Rmap{});
+    const auto r = solve(ctx, lc::Rmap{}, "exhaustive_bb");
     EXPECT_EQ(r.space_size, 1);
     EXPECT_EQ(r.n_evaluated, 1);
     // Empty allocation: nothing in hardware, zero speedup.
@@ -281,13 +321,13 @@ TEST(HillClimb, never_beats_exhaustive_and_is_deterministic)
     bounds.set(0, 2);
     bounds.set(1, 3);
 
-    const auto exhaustive = lse::exhaustive_engine(ctx, bounds);
+    const auto exhaustive = solve(ctx, bounds, "exhaustive_bb");
 
-    lycos::util::Rng rng1(123), rng2(123);
-    const auto hc1 = lse::hill_climb_engine(ctx, bounds, {.n_restarts = 6},
-                                            rng1);
-    const auto hc2 = lse::hill_climb_engine(ctx, bounds, {.n_restarts = 6},
-                                            rng2);
+    lso::Solve_options climb;
+    climb.extras =
+        lso::Hill_climb_extras{.n_restarts = 6, .max_steps = 256, .seed = 123};
+    const auto hc1 = solve(ctx, bounds, "hill_climb", climb);
+    const auto hc2 = solve(ctx, bounds, "hill_climb", climb);
 
     EXPECT_LE(hc1.best.speedup_pct(), exhaustive.best.speedup_pct() + 1e-9);
     EXPECT_EQ(hc1.best.datapath, hc2.best.datapath);  // deterministic
@@ -324,17 +364,13 @@ TEST(Exhaustive, pruned_unpruned_and_naive_agree_on_random_spaces)
         lse::Eval_context naive_ctx = ctx;
         naive_ctx.scheduler = lycos::sched::Scheduler_kind::naive;
 
-        const auto naive = lse::exhaustive_engine(
-            naive_ctx, bounds,
-            {.n_threads = 1, .use_cache = false, .use_pruning = false});
-        const auto unpruned = lse::exhaustive_engine(
-            ctx, bounds,
-            {.n_threads = 1, .use_cache = true, .use_pruning = false});
+        const auto naive = flat_walk(naive_ctx, bounds);
+        const auto unpruned =
+            solve(ctx, bounds, "exhaustive_bb",
+                  {.n_threads = 1, .use_pruning = false});
         for (int n_threads : {1, 2, 5}) {
-            const auto pruned = lse::exhaustive_engine(
-                ctx, bounds,
-                {.n_threads = n_threads, .use_cache = true,
-                 .use_pruning = true});
+            const auto pruned = solve(ctx, bounds, "exhaustive_bb",
+                                      {.n_threads = n_threads});
             EXPECT_EQ(pruned.best.datapath, naive.best.datapath)
                 << "trial " << trial << ", " << n_threads << " threads";
             EXPECT_EQ(pruned.best.partition.time_hybrid_ns,
@@ -380,12 +416,11 @@ TEST(Exhaustive, pruning_safe_with_fast_but_large_variants)
         const lse::Eval_context ctx{
             bsbs, lib, target, lycos::pace::Controller_mode::list_schedule,
             target.asic.total_area / 64.0};
-        const auto unpruned = lse::exhaustive_engine(
-            ctx, bounds,
-            {.n_threads = 1, .use_cache = true, .use_pruning = false});
-        const auto pruned = lse::exhaustive_engine(
-            ctx, bounds,
-            {.n_threads = 1, .use_cache = true, .use_pruning = true});
+        const auto unpruned =
+            solve(ctx, bounds, "exhaustive_bb",
+                  {.n_threads = 1, .use_pruning = false});
+        const auto pruned =
+            solve(ctx, bounds, "exhaustive_bb", {.n_threads = 1});
         EXPECT_EQ(pruned.best.datapath, unpruned.best.datapath)
             << "trial " << trial;
         EXPECT_EQ(pruned.best.partition.time_hybrid_ns,
@@ -415,12 +450,9 @@ TEST(Exhaustive, incremental_dp_reuses_rows)
     bounds.set(1, 2);
     bounds.set(2, 2);
 
-    const auto reference = lse::exhaustive_engine(
-        ctx, bounds,
-        {.n_threads = 1, .use_cache = true, .use_pruning = false});
-    const auto pruned = lse::exhaustive_engine(
-        ctx, bounds,
-        {.n_threads = 1, .use_cache = true, .use_pruning = true});
+    const auto reference = solve(ctx, bounds, "exhaustive_bb",
+                                 {.n_threads = 1, .use_pruning = false});
+    const auto pruned = solve(ctx, bounds, "exhaustive_bb", {.n_threads = 1});
     EXPECT_EQ(pruned.best.datapath, reference.best.datapath);
     EXPECT_EQ(pruned.best.partition.time_hybrid_ns,
               reference.best.partition.time_hybrid_ns);
@@ -454,15 +486,14 @@ TEST(Exhaustive, bounded_cache_matches_and_evicts)
     bounds.set(1, 2);
     bounds.set(2, 1);
 
-    const auto unbounded = lse::exhaustive_engine(
-        ctx, bounds,
-        {.n_threads = 1, .use_cache = true, .use_pruning = false});
+    const auto unbounded = solve(ctx, bounds, "exhaustive_bb",
+                                 {.n_threads = 1, .use_pruning = false});
     for (const std::size_t cap : {2u, 8u}) {
         for (const bool pruning : {false, true}) {
-            const auto capped = lse::exhaustive_engine(
-                ctx, bounds,
-                {.n_threads = 1, .use_cache = true, .use_pruning = pruning,
-                 .cache_capacity = cap});
+            const auto capped =
+                solve(ctx, bounds, "exhaustive_bb",
+                      {.n_threads = 1, .use_pruning = pruning,
+                       .cache_capacity = cap});
             EXPECT_EQ(capped.best.datapath, unbounded.best.datapath)
                 << "cap " << cap << " pruning " << pruning;
             EXPECT_EQ(capped.best.partition.time_hybrid_ns,
@@ -525,42 +556,6 @@ TEST(EvalCache, segmented_eviction_is_bounded_and_consistent)
     EXPECT_EQ(recomputed.ctrl_area, remembered.ctrl_area);
 }
 
-TEST(Exhaustive, shared_cache_serves_search_and_rescore)
-{
-    const auto lib = small_library();
-    const auto target = lh::make_default_target(3000.0);
-    const auto bsbs = small_app();
-    // Coarse-quantum context for the search...
-    const lse::Eval_context coarse{
-        bsbs, lib, target, lycos::pace::Controller_mode::optimistic_eca,
-        target.asic.total_area / 16.0};
-    // ...fine-quantum context for the re-score (only the quantum may
-    // differ for a shared cache).
-    lse::Eval_context fine = coarse;
-    fine.area_quantum = 1.0;
-
-    lc::Rmap bounds;
-    bounds.set(0, 2);
-    bounds.set(1, 3);
-
-    lse::Eval_cache cache(coarse);
-    const auto r = lse::exhaustive_engine(coarse, bounds,
-                                          {.n_threads = 1,
-                                           .shared_cache = &cache});
-    EXPECT_GT(r.cache_stats.hits + r.cache_stats.misses, 0);
-
-    // The fine re-score hits the warm cache: no new schedules at all.
-    const auto before = cache.stats();
-    const auto rescored =
-        lse::evaluate_allocation(fine, r.best.datapath, &cache);
-    EXPECT_EQ(cache.stats().misses, before.misses);
-    // And cached == uncached at the fine quantum, bit for bit.
-    const auto uncached = lse::evaluate_allocation(fine, r.best.datapath);
-    EXPECT_EQ(rescored.partition.time_hybrid_ns,
-              uncached.partition.time_hybrid_ns);
-    EXPECT_EQ(rescored.datapath_area, uncached.datapath_area);
-}
-
 TEST(HillClimb, parallel_matches_sequential_for_any_thread_count)
 {
     const auto lib = lh::make_default_library();
@@ -580,15 +575,14 @@ TEST(HillClimb, parallel_matches_sequential_for_any_thread_count)
     bounds.set(1, 2);
     bounds.set(2, 1);
 
-    lycos::util::Rng rng_seq(5);
-    const auto sequential = lse::hill_climb_engine(
-        ctx, bounds, {.n_restarts = 8, .n_threads = 1}, rng_seq);
+    lso::Solve_options climb{.n_threads = 1};
+    climb.extras =
+        lso::Hill_climb_extras{.n_restarts = 8, .max_steps = 256, .seed = 5};
+    const auto sequential = solve(ctx, bounds, "hill_climb", climb);
 
     for (int n_threads : {2, 8}) {
-        lycos::util::Rng rng_par(5);
-        const auto parallel = lse::hill_climb_engine(
-            ctx, bounds, {.n_restarts = 8, .n_threads = n_threads},
-            rng_par);
+        climb.n_threads = n_threads;
+        const auto parallel = solve(ctx, bounds, "hill_climb", climb);
         EXPECT_EQ(parallel.best.datapath, sequential.best.datapath)
             << n_threads << " threads";
         EXPECT_EQ(parallel.best.partition.time_hybrid_ns,
@@ -607,11 +601,9 @@ TEST(HillClimb, parallel_matches_sequential_for_any_thread_count)
     // Proxy screening is an optimization, not a search change: with
     // the screen off the climb must land on the identical best tuple
     // (and skip nothing).
-    lycos::util::Rng rng_off(5);
-    const auto no_proxy = lse::hill_climb_engine(
-        ctx, bounds,
-        {.n_restarts = 8, .n_threads = 1, .use_proxy_screen = false},
-        rng_off);
+    climb.n_threads = 1;
+    climb.use_pruning = false;
+    const auto no_proxy = solve(ctx, bounds, "hill_climb", climb);
     EXPECT_EQ(no_proxy.best.datapath, sequential.best.datapath);
     EXPECT_EQ(no_proxy.best.partition.time_hybrid_ns,
               sequential.best.partition.time_hybrid_ns);

@@ -1,7 +1,7 @@
 // Tests for the lycos::solver session API: the strategy registry, the
 // reused-vs-fresh Session equivalence contract (bit-identical results
-// for any thread count), shared-invariants vs per-worker-recompute
-// equivalence, and the multi_asic_bb determinism contract (best pair
+// for any thread count), caches over shared vs privately computed
+// invariants, and the multi_asic_bb determinism contract (best pair
 // independent of chunking, equal to a brute-force pair scan).
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "pace/multi_asic.hpp"
 #include "search/alloc_space.hpp"
 #include "search/eval_cache.hpp"
-#include "search/exhaustive.hpp"
 #include "solver/solver.hpp"
 #include "util/rng.hpp"
 
@@ -150,8 +149,10 @@ TEST(Session, auto_pick_follows_exhaustive_limit)
 
     lso::Session session(p);
     EXPECT_EQ(session.space_size(), 12);
+    EXPECT_EQ(session.auto_strategy(), "exhaustive_bb");
     EXPECT_EQ(session.solve().strategy, "exhaustive_bb");
     session.exhaustive_limit = 0;
+    EXPECT_EQ(session.auto_strategy(), "hill_climb");
     EXPECT_EQ(session.solve().strategy, "hill_climb");
 }
 
@@ -231,9 +232,8 @@ TEST(Session, reused_matches_fresh_any_thread_count)
     }
 }
 
-// Session-owned shared invariants vs each worker recomputing them:
-// the memoized per-BSB costs — and therefore whole searches — must be
-// bit-identical.
+// Session-owned shared invariants vs a cache recomputing them: the
+// memoized per-BSB costs must be bit-identical.
 TEST(Invariants, shared_and_private_caches_agree_bitwise)
 {
     const auto lib = lh::make_default_library();
@@ -269,22 +269,6 @@ TEST(Invariants, shared_and_private_caches_agree_bitwise)
                 EXPECT_EQ(a.save_prev, e.save_prev);
             }
         }
-
-    // Whole-search equivalence: engine with shared invariants vs the
-    // engine recomputing per worker.
-    lc::Rmap bounds;
-    bounds.set(0, 2);
-    bounds.set(1, 2);
-    bounds.set(2, 1);
-    for (int n_threads : {1, 3}) {
-        const auto plain = lse::exhaustive_engine(
-            ctx, bounds, {.n_threads = n_threads});
-        const auto inv = lse::exhaustive_engine(
-            ctx, bounds, {.n_threads = n_threads, .invariants = shared});
-        expect_same_tuple(plain.best, inv.best, "invariants");
-        EXPECT_EQ(plain.n_evaluated, inv.n_evaluated);
-        EXPECT_EQ(plain.n_pruned, inv.n_pruned);
-    }
 }
 
 // multi_asic_bb determinism + correctness: the best pair tuple is

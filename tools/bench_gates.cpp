@@ -22,7 +22,6 @@
 #include "hw/target.hpp"
 #include "pace/multi_asic.hpp"
 #include "search/alloc_space.hpp"
-#include "search/exhaustive.hpp"
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
 #include "solver/solver.hpp"
@@ -224,29 +223,53 @@ double min_seconds(int reps, Call&& call)
 
 // --- search: the old-vs-new exhaustive variants ----------------------
 //
-// The same walk four ways: the naive cycle-stepping scheduler with no
-// memo, pruning or threads (the original baseline); the event-driven
-// scheduler + Eval_cache; the branch-and-bound walker with incremental
-// DP and value-only screening; the pruned walk on every hardware
-// thread.  Gate: all four land on the identical best allocation, and
-// the pruned (incremental) walk matches the cold unpruned one.
+// The same walk four ways: a flat walk scoring every fitting point
+// with the naive cycle-stepping scheduler and no memo, pruning or
+// threads (the original baseline); exhaustive_bb unpruned on one
+// thread (event-driven scheduler + Eval_cache); exhaustive_bb with its
+// branch-and-bound, incremental DP and value-only screening; the same
+// on every hardware thread.  Each exhaustive_bb variant runs on a
+// fresh Session, so every one starts cold.  Gate: all four land on
+// the identical best allocation, and the pruned (incremental) walk
+// matches the cold unpruned one.
+struct Flat_walk {
+    search::Evaluation best;
+    long long n_evaluated = 0;
+    double seconds = 0.0;
+};
+
+/// The baseline's per-point work: costs built from scratch, the DP on
+/// one reused workspace at the table width exhaustive_bb pins.
+Flat_walk naive_flat_walk(const Scenario& s)
+{
+    const util::Wall_timer timer;
+    search::Eval_context ctx = s.context();
+    ctx.scheduler = sched::Scheduler_kind::naive;
+    ctx.dp_table_budget = s.target.asic.total_area;
+    pace::Pace_workspace ws;
+    Flat_walk out;
+    search::Alloc_space(s.lib, s.restrictions)
+        .for_each(s.target.asic.total_area, [&](const core::Rmap& a) {
+            auto ev = search::evaluate_allocation(ctx, a, nullptr, &ws);
+            if (out.n_evaluated++ == 0 || search::better_than(ev, out.best))
+                out.best = std::move(ev);
+            return true;
+        });
+    out.seconds = timer.seconds();
+    return out;
+}
+
 Section_report run_search(const Scenario& s)
 {
-    const auto ctx = s.context();
-    search::Eval_context old_ctx = ctx;
-    old_ctx.scheduler = sched::Scheduler_kind::naive;
-    const auto old_run = search::exhaustive_engine(
-        old_ctx, s.restrictions,
-        {.n_threads = 1, .use_cache = false, .use_pruning = false});
-    const auto single = search::exhaustive_engine(
-        ctx, s.restrictions,
-        {.n_threads = 1, .use_cache = true, .use_pruning = false});
-    const auto pruned = search::exhaustive_engine(
-        ctx, s.restrictions,
-        {.n_threads = 1, .use_cache = true, .use_pruning = true});
-    const auto parallel = search::exhaustive_engine(
-        ctx, s.restrictions,
-        {.n_threads = 0, .use_cache = true, .use_pruning = true});
+    const auto exhaustive = [&](solver::Solve_options options) {
+        solver::Session session(s.problem());
+        return session.solve("exhaustive_bb", options);
+    };
+    const auto old_run = naive_flat_walk(s);
+    const auto single =
+        exhaustive({.n_threads = 1, .use_pruning = false});
+    const auto pruned = exhaustive({.n_threads = 1});
+    const auto parallel = exhaustive({.n_threads = 0});
 
     const bool pruned_matches = same_tuple(old_run.best, pruned.best);
     const bool same_best = same_tuple(old_run.best, single.best) &&
@@ -456,9 +479,10 @@ Section_report run_solver(const Scenario& s)
 
 // --- deadline: cancel-token poll overhead and anytime quality --------
 //
-// The single-threaded cached unpruned walk (an armed token changes no
-// work there, it only adds the polls) with a token whose deadline is an
-// hour away, against the same walk with no token; min-of-3 each.  Gate
+// exhaustive_bb unpruned on one thread (an armed token changes no work
+// there, it only adds the polls) with a token whose deadline is an hour
+// away, against the same solve with no token; min-of-3 each, every rep
+// on a fresh Session.  Gate
 // (overhead_ok): the polls cost under 1%, plus a small absolute noise
 // floor so timer noise on a fast sweep cannot fail it.  The best time
 // under 1/10/100 ms deadlines is informational: what a deadline buys
@@ -468,18 +492,18 @@ constexpr double k_deadline_noise_floor_s = 0.002;
 
 Section_report run_deadline(const Scenario& s)
 {
-    const auto ctx = s.context();
+    const solver::Solve_options unpruned{.n_threads = 1,
+                                         .use_pruning = false};
     const auto min_of3 = [&](const util::Cancel_token* token) {
         double best = std::numeric_limits<double>::infinity();
-        for (int i = 0; i < 3; ++i)
-            best = std::min(best,
-                            search::exhaustive_engine(
-                                ctx, s.restrictions,
-                                {.n_threads = 1,
-                                 .use_cache = true,
-                                 .use_pruning = false,
-                                 .cancel = token})
-                                .seconds);
+        for (int i = 0; i < 3; ++i) {
+            solver::Session session(s.problem());  // cold every rep
+            const auto r =
+                token != nullptr
+                    ? session.solve("exhaustive_bb", unpruned, *token)
+                    : session.solve("exhaustive_bb", unpruned);
+            best = std::min(best, r.seconds);
+        }
         return best;
     };
     const double no_token = min_of3(nullptr);

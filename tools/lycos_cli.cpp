@@ -14,8 +14,10 @@
 // (bad app/library/problem — validation failures); 4 the --search
 // solve was truncated by a deadline or budget (the anytime incumbent
 // was still printed); 5 internal error or a failed serve request.
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -60,6 +62,50 @@ pace::Controller_mode parse_ctrl(const std::string& name)
     if (name == "real")
         return pace::Controller_mode::list_schedule;
     throw std::invalid_argument("unknown controller mode: " + name);
+}
+
+/// A numeric flag's value as a finite number >= 0.  Anything else —
+/// text, trailing garbage, NaN, Inf, a value past the double range or
+/// below zero — is std::invalid_argument, so main reports it as one
+/// "error:" line with exit code 3.
+double parse_amount(const std::string& flag, const std::string& text)
+{
+    std::size_t used = 0;
+    double x = -1.0;
+    try {
+        x = std::stod(text, &used);
+    }
+    catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != text.size() || !std::isfinite(x) || x < 0.0)
+        throw std::invalid_argument("--" + flag +
+                                    " expects a finite number >= 0, got \"" +
+                                    text + "\"");
+    return x;
+}
+
+/// A numeric flag's value as an integer in [0, max]; anything else is
+/// std::invalid_argument, as in parse_amount.
+long long parse_count(const std::string& flag, const std::string& text,
+                      long long max = std::numeric_limits<long long>::max())
+{
+    std::size_t used = 0;
+    long long x = -1;
+    try {
+        x = std::stoll(text, &used);
+    }
+    catch (const std::exception&) {
+        used = 0;
+    }
+    if (used == 0 || used != text.size() || x < 0 || x > max) {
+        std::string want = "an integer >= 0";
+        if (max < std::numeric_limits<long long>::max())
+            want += " and <= " + std::to_string(max);
+        throw std::invalid_argument("--" + flag + " expects " + want +
+                                    ", got \"" + text + "\"");
+    }
+    return x;
 }
 
 /// Apply one or more "resource=count" overrides.
@@ -338,11 +384,11 @@ int main(int argc, char** argv)
         return 3;
     }
 
-    const double area =
-        args.value("area").empty() ? preset_area : std::stod(args.value("area"));
-
     // --- run the flow ---------------------------------------------------
     try {
+        const double area = args.value("area").empty()
+                                ? preset_area
+                                : parse_amount("area", args.value("area"));
         hw::Hw_library lib;
         const std::string lib_spec = args.value("lib");
         if (lib_spec == "variants") {
@@ -464,10 +510,11 @@ int main(int argc, char** argv)
 
             solver::Solve_options opts;
             opts.cache_capacity = static_cast<std::size_t>(
-                std::stoll(args.value("cache-cap")));
-            opts.deadline_ms = std::stod(args.value("deadline-ms"));
+                parse_count("cache-cap", args.value("cache-cap")));
+            opts.deadline_ms =
+                parse_amount("deadline-ms", args.value("deadline-ms"));
             opts.max_evals = static_cast<std::uint64_t>(
-                std::stoll(args.value("max-evals")));
+                parse_count("max-evals", args.value("max-evals")));
             if (args.was_set("pair-limit"))
                 opts.extras = solver::Multi_asic_extras{
                     .pair_limit = std::stoll(args.value("pair-limit"))};
@@ -484,7 +531,8 @@ int main(int argc, char** argv)
                 copts.strategy = search_name;
                 copts.solve = opts;
                 copts.port = static_cast<std::uint16_t>(
-                    std::stoi(args.value("coordinator")));
+                    parse_count("coordinator", args.value("coordinator"),
+                                65535));
                 copts.n_workers =
                     args.value("dist-expect").empty()
                         ? std::stoi(args.value("dist-workers"))
