@@ -20,6 +20,16 @@ double hw_gain(double t_sw, const Bsb_cost& c)
     return t_sw - c.t_hw - c.comm;
 }
 
+/// The most BSB i can save on one ASIC: its hardware gain plus, past
+/// the first BSB, any positive adjacency saving.  Budgets ignored.
+double asic_gain_bound(std::size_t i, double t_sw, const Bsb_cost& c)
+{
+    double gain = hw_gain(t_sw, c);
+    if (i > 0)
+        gain += std::max(0.0, c.save_prev);
+    return gain;
+}
+
 /// Shared quantization of the two-ASIC DP (the sparse partition, the
 /// screening pass and the dense reference must agree exactly).
 struct Multi_setup {
@@ -45,6 +55,8 @@ Multi_setup prepare_multi(std::span<const Multi_bsb_cost> costs,
         throw std::invalid_argument("multi_pace_partition: max_dp_cells < 4");
     if (!std::isfinite(options.area_quantum) || options.area_quantum < 0.0)
         throw std::invalid_argument("multi_pace_partition: bad quantum");
+    if (std::isnan(options.saving_floor))
+        throw std::invalid_argument("multi_pace_partition: NaN saving floor");
 
     const double b0 = options.ctrl_area_budgets[0];
     const double b1 = options.ctrl_area_budgets[1];
@@ -108,6 +120,7 @@ struct Best_state {
 struct Dp_stats {
     long long cells_swept = 0;
     bool aborted = false;  ///< sweep stopped on a tripped token
+    bool emptied = false;  ///< the saving floor dropped every state
 };
 
 }  // namespace
@@ -230,12 +243,22 @@ std::uint64_t state_key(std::size_t a0, std::size_t a1)
 /// are re-derived from the same candidates in the same first-max
 /// order, and the final scan — per-lane first maximum, lanes combined
 /// by (value desc, a0, a1, p) — lands on the dense best state.
+///
+/// The saving floor keeps all of this.  A merged candidate is dropped
+/// before the dominance prune when its value plus the budget-free
+/// gain bound of the remaining rows misses the floor; its dominators
+/// have at least its value, so the survivors are exactly the
+/// above-floor part of the unbounded antichain, and a winner path
+/// that clears the floor never comes near the cut.  Along any path a
+/// dropped state's value plus that suffix bound caps every
+/// completion, so when no state survives, the largest such sum is an
+/// admissible bound on the optimum — and below the floor.
 struct Multi_dp_sparse {
     template <bool With_trace>
     static double sweep(std::span<const Multi_bsb_cost> costs,
                         const Multi_setup& s, Multi_pace_workspace& ws,
                         Dp_stats& stats, Best_state* best_state,
-                        const util::Cancel_token* cancel);
+                        const Multi_pace_options& options);
 };
 
 template <bool With_trace>
@@ -243,12 +266,33 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
                               const Multi_setup& s,
                               Multi_pace_workspace& ws, Dp_stats& stats,
                               Best_state* best_state,
-                              const util::Cancel_token* cancel)
+                              const Multi_pace_options& options)
 {
     const std::size_t n = costs.size();
     const auto& qarea = ws.qarea_;
     const auto& possible = ws.possible_;
     const util::simd::Kernels& kern = util::simd::kernels();
+    const util::Cancel_token* cancel = options.cancel;
+    const double floor = options.saving_floor;
+    const bool bounded = floor > -k_inf;
+    // sfx[i]: budget-free bound on what rows i.. can still add.
+    auto& sfx = ws.gain_sfx_;
+    double dropped_bound = -k_inf;
+    if (bounded) {
+        sfx.assign(n + 1, 0.0);
+        for (std::size_t i = n; i-- > 0;) {
+            double g = 0.0;
+            for (std::size_t a = 0; a < 2; ++a)
+                if (possible[i][a] != 0)
+                    g = std::max(g, asic_gain_bound(i, costs[i].t_sw,
+                                                    costs[i].hw[a]));
+            sfx[i] = sfx[i + 1] + g;
+        }
+        if (sfx[0] < floor) {  // even the start state misses it
+            stats.emptied = true;
+            return sfx[0];
+        }
+    }
     auto& cur = ws.cur_;
     auto& nxt = ws.nxt_;
     for (std::size_t p = 0; p < 3; ++p) {
@@ -292,6 +336,8 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
             i > 0 ? gain[1] + costs[i].hw[1].save_prev : gain[1]};
         const double g1[3] = {gain[0], gain_save[0], gain[0]};
         const double g2[3] = {gain[1], gain[1], gain_save[1]};
+        const double row_floor = bounded ? floor - sfx[i + 1] : -k_inf;
+        double dropped = -k_inf;  ///< best value this row's floor cut
 
         for (std::size_t l = 0; l < 3; ++l) {
             auto& out = nxt.lanes_[l];
@@ -332,7 +378,10 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
             // on a key tie the lowest source lane arrives first and
             // later lanes replace it only on a strictly greater value
             // — the dense reference's first-maximum-over-p
-            // improving-write order.
+            // improving-write order.  A candidate below the row floor
+            // is skipped: it loses every tie it takes part in to an
+            // above-floor one, so skipping it per source equals
+            // skipping the merged state.
             std::array<std::size_t, 3> si{0, 0, 0};
             const auto skip_invalid = [&](std::size_t p) {
                 while (si[p] < sn[p] &&
@@ -359,7 +408,10 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
                     break;
                 const auto uk = static_cast<std::size_t>(k);
                 const double v = ws.mval_[uk][si[uk]];
-                if (k_key == last_key) {
+                if (v < row_floor) {
+                    dropped = std::max(dropped, v);
+                }
+                else if (k_key == last_key) {
                     if (v > out.value.back()) {
                         out.value.back() = v;
                         out.parent.back() = static_cast<std::uint8_t>(k);
@@ -397,6 +449,13 @@ double Multi_dp_sparse::sweep(std::span<const Multi_bsb_cost> costs,
         }
         for (std::size_t p = 0; p < 3; ++p)
             cur.lanes_[p].swap(nxt.lanes_[p]);
+        if (bounded) {
+            dropped_bound = std::max(dropped_bound, dropped + sfx[i + 1]);
+            if (cur.size() == 0) {  // nothing left that can reach it
+                stats.emptied = true;
+                return dropped_bound;
+            }
+        }
     }
 
     // Final pick: per lane the first maximum of the (a0, a1)-sorted
@@ -486,20 +545,15 @@ Multi_pace_result evaluate_multi_partition(
 namespace {
 
 /// One BSB's contribution to multi_max_gain: the better of its two
-/// per-ASIC gains, adjacency credited unconditionally, budgets
-/// ignored.
+/// per-ASIC gain bounds over the ASICs with a finite cost (software
+/// 0).
 double best_bsb_gain(std::size_t i, double t_sw, const Bsb_cost& h0,
                      const Bsb_cost& h1)
 {
     double best = 0.0;
-    for (const Bsb_cost* h : {&h0, &h1}) {
-        if (std::isinf(h->t_hw))
-            continue;
-        double gain = t_sw - h->t_hw - h->comm;
-        if (i > 0)
-            gain += std::max(0.0, h->save_prev);
-        best = std::max(best, gain);
-    }
+    for (const Bsb_cost* h : {&h0, &h1})
+        if (!std::isinf(h->t_hw))
+            best = std::max(best, asic_gain_bound(i, t_sw, *h));
     return best;
 }
 
@@ -526,7 +580,7 @@ double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
         return 0.0;
     Dp_stats stats;
     const double best = Multi_dp_sparse::sweep<false>(costs, s, ws, stats,
-                                                      nullptr, options.cancel);
+                                                      nullptr, options);
     ws.last_cells_swept_ = stats.cells_swept;
     ws.last_cells_dense_ = static_cast<long long>(costs.size()) *
                            static_cast<long long>(s.w0) *
@@ -548,11 +602,12 @@ Multi_pace_result multi_pace_partition(std::span<const Multi_bsb_cost> costs,
 
     Dp_stats stats;
     Best_state bs;
-    Multi_dp_sparse::sweep<true>(costs, s, ws, stats, &bs, options.cancel);
-    if (stats.aborted) {
-        // Aborted mid-sweep: the sparse traceback arena is partial,
-        // but the all-software placement is always a valid honest
-        // answer for the caller's incumbent bookkeeping.
+    Multi_dp_sparse::sweep<true>(costs, s, ws, stats, &bs, options);
+    if (stats.aborted || stats.emptied) {
+        // Aborted mid-sweep, or no state reached the saving floor: the
+        // sparse traceback arena is partial and there is no best
+        // state to trace back from, but the all-software placement is
+        // always a valid honest answer.
         Multi_pace_result r = evaluate_multi_partition(
             costs, std::vector<Placement>(n, Placement::software));
         r.area_quantum_used = s.quantum;

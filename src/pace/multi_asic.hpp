@@ -31,10 +31,16 @@
 // Multi_pace_options::optimistic_rounding flips the area rounding
 // down so the DP value upper-bounds every ceil-rounded evaluation —
 // the admissible per-a0-row bound the multi-ASIC search prunes with.
+// Multi_pace_options::saving_floor bounds both sparse entries from
+// below: a screen that only has to decide "can this pair still beat
+// the incumbent?" drops every state whose budget-free suffix bound
+// cannot reach the floor, stops once none is left, and answers with
+// an admissible bound below the floor instead of the exact optimum.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -92,6 +98,19 @@ struct Multi_pace_options {
     /// admissible bounds only (the multi-ASIC search's per-a0-row
     /// bound); a partition built this way may overpack the budgets.
     bool optimistic_rounding = false;
+
+    /// Lower bound on the savings the caller still cares about.  Row
+    /// i drops every merged state whose value plus the budget-free
+    /// bound on rows i+1.. (per BSB the better gain over the ASICs
+    /// that fit, positive adjacency credited, software 0) falls below
+    /// it, and the sweep ends on the first empty row.  An optimum at
+    /// or above the floor comes back exactly — value, placement and
+    /// traceback bit-identical to the unbounded sweep's; below it
+    /// multi_pace_best_saving returns an admissible upper bound that
+    /// is itself below the floor (to rounding) and
+    /// multi_pace_partition the all-software result.  -inf (the
+    /// default) sweeps every state.
+    double saving_floor = -std::numeric_limits<double>::infinity();
 
     /// Optional cancellation handle for the sparse sweeps: the DP-cell
     /// budget is charged and the token polled (full stop(), including
@@ -279,7 +298,9 @@ private:
 /// reuses the caller-owned state arenas across calls (grow-only
 /// buffers, not thread-safe); results are identical with or without
 /// one, and — placement included — bit-identical to the dense
-/// reference below.
+/// reference below whenever the optimum clears
+/// options.saving_floor.  When it does not (or the token aborts the
+/// sweep) the result is the all-software placement.
 Multi_pace_result multi_pace_partition(
     std::span<const Multi_bsb_cost> costs, const Multi_pace_options& options,
     Multi_pace_workspace* workspace = nullptr);
@@ -291,6 +312,11 @@ Multi_pace_result multi_pace_partition(
 /// multi_pace_partition(...).time_hybrid_ns up to float summation
 /// order.  With options.optimistic_rounding this is the admissible
 /// upper bound the multi-ASIC search's per-a0-row prune uses.
+/// Exact when the optimum clears options.saving_floor; otherwise the
+/// largest value-plus-suffix-bound of the states the floor dropped —
+/// an upper bound on the optimum that stays below the floor, so a
+/// caller's "saving < floor" kill test reads it unchanged.  -inf
+/// means only that the cancellation token aborted the sweep.
 double multi_pace_best_saving(std::span<const Multi_bsb_cost> costs,
                               const Multi_pace_options& options,
                               Multi_pace_workspace* workspace = nullptr);
@@ -355,6 +381,9 @@ private:
     // --- quantization scratch ---------------------------------------
     std::vector<std::array<int, 2>> qarea_;
     std::vector<std::array<std::uint8_t, 2>> possible_;
+    /// Bounded sweeps only: gain_sfx_[i] bounds what rows i.. can
+    /// still save, budgets ignored (n + 1 entries, the last 0).
+    std::vector<double> gain_sfx_;
     // --- sparse sweep arenas ----------------------------------------
     Multi_pace_state_set cur_;
     Multi_pace_state_set nxt_;

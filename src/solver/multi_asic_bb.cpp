@@ -22,6 +22,11 @@
 //   * surviving rows run the PR 4 per-pair ladder: multi_max_gain,
 //     then the sparse screening DP, then the full sparse partition
 //     with traceback — all over the Pareto-sparse state sets now,
+//   * every sweep against a finite threshold (the row bound, a pair's
+//     screen, and the partition of a pair that passed it) carries a
+//     saving floor one slack below the kill line: the DP drops the
+//     states that cannot reach it and stops once none is left, and
+//     the kill tests read its below-floor bound unchanged,
 //   * the a1 axis costs are fetched once per solve into an immutable
 //     point x BSB table (held in the session's workspace pool) that
 //     every worker and the row relaxation read; only the a0 row costs
@@ -66,6 +71,8 @@
 namespace lycos::solver::detail {
 
 namespace {
+
+constexpr double k_inf = std::numeric_limits<double>::infinity();
 
 /// One enumerable allocation of one ASIC (area pre-computed: the
 /// inner loop compares it millions of times).
@@ -325,6 +332,12 @@ Solve_result solve_multi_asic_bb(Session& session,
                 table, n_bsbs);
     }
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
+    // Saving floor of a sweep bounded by `threshold`: one slack below
+    // its kill line, so float rounding in the DP's suffix bounds never
+    // decides a kill (+inf, no incumbent yet, sweeps unbounded).
+    const auto saving_floor = [&](double threshold) {
+        return all_sw - threshold - 2.0 * slack;
+    };
     const std::span<const pace::Bsb_cost> costs1_table(table);
 
     const std::size_t n_threads = util::clamp_chunks(
@@ -362,6 +375,18 @@ Solve_result solve_multi_asic_bb(Session& session,
         // the task body, and distinct workers use distinct slots.
         pace::Multi_pace_workspace& mws =
             session.workspaces().slot(c).multi;
+        const auto count_sweep = [&] {
+            chunk.dp_states_swept += mws.last_cells_swept();
+            chunk.dp_cells_dense += mws.last_cells_dense();
+        };
+        // A sweep the token cut short abandons its row and stops the
+        // claiming: the row was visited but not finished, and the
+        // pair is neither counted nor offered (never a half-scored
+        // candidate).
+        const auto abandon_row = [&] {
+            ++chunk.rows_abandoned;
+            chunk.stopped = true;
+        };
         // External incumbent (a distributed coordinator's broadcast):
         // admissible by the Shared_bound contract, so min()ing it into
         // every threshold only removes pairs provably worse than a
@@ -416,11 +441,15 @@ Solve_result solve_multi_asic_bb(Session& session,
                                             budgets[1] - relax1.min_area};
                     mo.area_quantum = ctx.area_quantum;
                     mo.optimistic_rounding = true;
+                    mo.saving_floor = saving_floor(threshold_row);
                     mo.cancel = options.cancel;
                     const double bound_saving =
                         pace::multi_pace_best_saving(mcosts, mo, &mws);
-                    chunk.dp_states_swept += mws.last_cells_swept();
-                    chunk.dp_cells_dense += mws.last_cells_dense();
+                    count_sweep();
+                    if (bound_saving == -k_inf) {
+                        abandon_row();
+                        break;
+                    }
                     bound_time = all_sw - bound_saving;
                     killed = bound_time > threshold_row + slack;
                 }
@@ -440,8 +469,7 @@ Solve_result solve_multi_asic_bb(Session& session,
                 // abandons this row, stops the claiming and keeps the
                 // incumbent found so far.
                 if (options.cancel != nullptr && options.cancel->stop()) {
-                    ++chunk.rows_abandoned;
-                    chunk.stopped = true;
+                    abandon_row();
                     break;
                 }
                 const auto& p1 = axis[1][static_cast<std::size_t>(j)];
@@ -461,6 +489,11 @@ Solve_result solve_multi_asic_bb(Session& session,
                 mo.cancel = options.cancel;
 
                 if (options.use_pruning) {
+                    // The screen and the partition of a pair that
+                    // passes it both sweep above this floor; a passing
+                    // pair's optimum clears it, so its placement is
+                    // the unbounded one.
+                    mo.saving_floor = saving_floor(threshold);
                     // Budget-free bound: no placement of this pair can
                     // save more than multi_max_gain, whatever the
                     // controller areas turn out to be.
@@ -481,8 +514,11 @@ Solve_result solve_multi_asic_bb(Session& session,
                     // single-ASIC walker's screened leaves.
                     const double saving =
                         pace::multi_pace_best_saving(mcosts, mo, &mws);
-                    chunk.dp_states_swept += mws.last_cells_swept();
-                    chunk.dp_cells_dense += mws.last_cells_dense();
+                    count_sweep();
+                    if (saving == -k_inf) {
+                        abandon_row();
+                        break;
+                    }
                     const double screen_time = all_sw - saving;
                     if (screen_time > threshold + slack) {
                         ++chunk.n_evaluated;
@@ -496,8 +532,13 @@ Solve_result solve_multi_asic_bb(Session& session,
 
                 const auto full =
                     pace::multi_pace_partition(mcosts, mo, &mws);
-                chunk.dp_states_swept += mws.last_cells_swept();
-                chunk.dp_cells_dense += mws.last_cells_dense();
+                count_sweep();
+                // An aborted partition returns the all-software
+                // placement; a trip seen here may have cut it short.
+                if (options.cancel != nullptr && options.cancel->tripped()) {
+                    abandon_row();
+                    break;
+                }
                 ++chunk.n_evaluated;
                 if (options.cancel != nullptr)
                     options.cancel->charge_evals(1);

@@ -273,7 +273,11 @@ struct Solve_result {
     long long n_pruned = 0;    ///< points skipped by bounds/screening
     /// Prunes attributable to Solve_options::incumbent_bound alone
     /// (the remote bound was strictly tighter than every local
-    /// threshold at the kill site).
+    /// threshold at the kill site).  multi_asic_bb's DP sweeps stop
+    /// below a saving floor set by the tighter threshold and return a
+    /// bound, not the exact saving: such a kill is credited to the
+    /// remote bound when that returned bound does not clear the local
+    /// threshold.
     long long n_pruned_remote = 0;
     long long space_size = 0;  ///< full space (pairs for multi_asic_bb)
     double seconds = 0.0;

@@ -10,7 +10,7 @@
 //    three strategies.
 //  * Live conditions (deadline_ms, max_evals, request_cancel) end the
 //    solve with the matching Solve_result::status and an honest
-//    incumbent.
+//    incumbent; a DP sweep the token cuts short abandons its row.
 //  * Problem::validate reports every defect at once and the Session
 //    constructor throws the joined report.
 #include <gtest/gtest.h>
@@ -23,6 +23,9 @@
 #include <string_view>
 #include <thread>
 
+#include "apps/apps.hpp"
+#include "core/analysis.hpp"
+#include "core/restrictions.hpp"
 #include "hw/target.hpp"
 #include "solver/solver.hpp"
 #include "util/cancel.hpp"
@@ -488,6 +491,58 @@ TEST(AnytimeSolve, multi_asic_alloc_failure_covers_every_row)
                      std::bad_alloc)
             << "seed=" << seed;
     }
+}
+
+// A DP sweep the token aborts is neither a bound kill nor a finished
+// pair.  At 1 thread a DP-cell budget always trips inside a sweep (a
+// row-bound DP, a pair's screen or its partition), and the row it
+// trips in is then both visited and abandoned, while every row after
+// it is abandoned unvisited: rows_visited + rows_abandoned is n_rows
+// + 1 on every truncated run.  A sweep misread as a kill or as a
+// scored pair counts its row as finished instead (n_rows).  The
+// fixture is the man pair space of
+// MultiAsicBb.row_bound_kills_rows_and_preserves_the_best_pair
+// (64 rows x 11 pairs, rows bound-killed along the way), scanned from
+// a budget of 1 cell until the solve completes.  The token disables
+// incumbent priming, so the full solve sweeps about 10 k states; the
+// scan steps 7 cells at a time, which still trips inside every sweep
+// that charges 7 or more — every sweep that runs all 9 of man's BSB
+// rows charges at least one cell per row.
+TEST(AnytimeSolve, aborted_dp_sweep_abandons_its_row)
+{
+    const auto lib = lh::make_default_library();
+    auto app = lycos::apps::make_man();
+    const auto target = lh::make_default_target(app.asic_area);
+    const auto infos = lycos::core::analyze(app.bsbs, lib, target.gates);
+    const auto raw = lycos::core::compute_restrictions(infos, lib);
+    lycos::core::Rmap bounds;
+    for (const auto& [id, b] : raw.entries())
+        bounds.set(id, std::min(b, 1));
+
+    lso::Problem p;
+    p.bsbs = app.bsbs;
+    p.lib = &lib;
+    p.target = target;
+    p.restrictions = bounds;
+    p.area_quantum = app.asic_area / 256.0;
+    p.asic_areas = {app.asic_area, 300.0};
+    lso::Session session(p);
+
+    long long n_truncated = 0;
+    for (std::uint64_t cells = 1;; cells += 7) {
+        lso::Solve_options options;
+        options.n_threads = 1;
+        options.max_dp_cells = cells;
+        const auto r = session.solve("multi_asic_bb", options);
+        if (r.status == lu::Solve_status::complete)
+            break;
+        ASSERT_EQ(r.status, lu::Solve_status::budget) << cells;
+        ++n_truncated;
+        EXPECT_EQ(r.multi.rows_visited + r.rows_abandoned,
+                  r.multi.axis_points[0] + 1)
+            << "max_dp_cells=" << cells;
+    }
+    EXPECT_GT(n_truncated, 0);
 }
 
 // --------------------------------------------------------- validation

@@ -3,6 +3,7 @@
 // allocator's invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "apps/apps.hpp"
@@ -168,11 +169,13 @@ TEST(MultiPace, evaluate_round_trip_and_size_mismatch)
 // full-scan reference computes, across random costs (including
 // infeasible entries), random budgets, explicit and auto quanta, and
 // a workspace reused over differently-sized problems.  Values,
-// tracebacks and area_quantum_used must all agree bit for bit.
+// tracebacks and area_quantum_used must all agree bit for bit, and
+// stay so under any saving floor the optimum clears.
 TEST(MultiPace, sparse_matches_dense_randomized)
 {
     constexpr double inf = std::numeric_limits<double>::infinity();
     lycos::util::Rng rng(47);
+    lycos::util::Rng floor_rng(53);  // keeps the trials' costs as drawn
     lp::Multi_pace_workspace ws;
     for (int trial = 0; trial < 60; ++trial) {
         const int n = rng.uniform_int(1, 10);
@@ -233,6 +236,51 @@ TEST(MultiPace, sparse_matches_dense_randomized)
         EXPECT_GE(lp::multi_pace_best_saving(costs, relaxed, &ws) + 1e-9,
                   saving)
             << "trial " << trial;
+
+        // The saving floor, in both rounding modes: a floor the optimum
+        // clears changes no value, placement or time; one above it
+        // yields an admissible bound below the floor and the
+        // all-software placement; either way the sweep only shrinks.
+        for (const lp::Multi_pace_options& base : {opts, relaxed}) {
+            const double exact = lp::multi_pace_best_saving(costs, base, &ws);
+            const long long value_cells = ws.last_cells_swept();
+            const auto reference =
+                lp::multi_pace_partition_reference(costs, base);
+            const long long partition_cells =
+                lp::multi_pace_partition(costs, base, &ws).dp_cells_swept;
+            const double rel = 1e-9 * std::max(1.0, std::abs(exact));
+            const double offset = floor_rng.uniform_real(0.0, 3000.0);
+            const double below[] = {exact - rel, exact - offset, -inf};
+            const double above[] = {exact + rel, exact + offset, inf};
+            for (const double floor : below) {
+                lp::Multi_pace_options bounded = base;
+                bounded.saving_floor = floor;
+                EXPECT_EQ(lp::multi_pace_best_saving(costs, bounded, &ws),
+                          exact)
+                    << "trial " << trial << " floor " << floor;
+                EXPECT_LE(ws.last_cells_swept(), value_cells);
+                const auto r = lp::multi_pace_partition(costs, bounded, &ws);
+                EXPECT_EQ(r.placement, reference.placement)
+                    << "trial " << trial << " floor " << floor;
+                EXPECT_EQ(r.time_hybrid_ns, reference.time_hybrid_ns);
+                EXPECT_LE(r.dp_cells_swept, partition_cells);
+            }
+            for (const double floor : above) {
+                lp::Multi_pace_options bounded = base;
+                bounded.saving_floor = floor;
+                const double bound =
+                    lp::multi_pace_best_saving(costs, bounded, &ws);
+                EXPECT_GE(bound, exact - rel)
+                    << "trial " << trial << " floor " << floor;
+                EXPECT_LT(bound, floor + rel)
+                    << "trial " << trial << " floor " << floor;
+                EXPECT_LE(ws.last_cells_swept(), value_cells);
+                const auto r = lp::multi_pace_partition(costs, bounded, &ws);
+                EXPECT_EQ(r.n_in_hw, 0) << "trial " << trial;
+                EXPECT_EQ(r.time_hybrid_ns, r.time_all_sw_ns);
+                EXPECT_LE(r.dp_cells_swept, partition_cells);
+            }
+        }
     }
 }
 
