@@ -21,8 +21,8 @@
 
 #include "dist/dist.hpp"
 #include "dist/wire.hpp"
-#include "search/alloc_space.hpp"
 #include "search/evaluate.hpp"
+#include "search/workspace_pool.hpp"
 #include "solver/internal.hpp"
 #include "util/chunk_range.hpp"
 #include "util/net.hpp"
@@ -64,8 +64,9 @@ solver::Multi_asic_extras multi_extras_of(
 /// The leased logical-unit count of `strategy` over `session`'s
 /// problem: leaf indices for exhaustive_bb, a0 rows for multi_asic_bb
 /// — exactly the ranges Solve_options::window accepts.  For multi the
-/// axis filter is re-enumerated here with the same arithmetic as the
-/// engine (axis sizes are also reported back through `axis_points`).
+/// rows come from the session's own Pair_axes, the axis lists every
+/// lease's engine walks (axis sizes are also reported back through
+/// `axis_points`); a local fallback lease reuses them.
 long long count_units(solver::Session& session,
                       const std::string& strategy,
                       const solver::Solve_options& solve,
@@ -76,26 +77,9 @@ long long count_units(solver::Session& session,
         return session.space_size();
     }
     if (strategy == "multi_asic_bb") {
-        const auto& ctx = session.context();
-        const auto budgets =
-            solver::detail::multi_asic_budgets(session.problem());
-        const search::Alloc_space space(ctx.lib,
-                                        session.problem().restrictions);
-        if (space.size() > (1LL << 22))
-            throw std::invalid_argument(
-                "solve_distributed: single-ASIC space too large to "
-                "enumerate per axis");
-        long long f0 = 0;
-        long long f1 = 0;
-        const double max_budget = std::max(budgets[0], budgets[1]);
-        space.for_each(max_budget, [&](const core::Rmap& a) {
-            const double area = a.area(ctx.lib);
-            if (area <= budgets[0])
-                ++f0;
-            if (area <= budgets[1])
-                ++f1;
-            return true;
-        });
+        const auto& axis = solver::detail::pair_axes(session).axis;
+        const auto f0 = static_cast<long long>(axis[0].size());
+        const auto f1 = static_cast<long long>(axis[1].size());
         axis_points = {f0, f1};
         const long long pairs = f0 * f1;
         pairs_out = pairs;

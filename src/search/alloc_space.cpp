@@ -46,16 +46,19 @@ void Alloc_space::for_each_range(
     std::vector<int> counter = decompose(begin);
 
     for (long long index = begin; index < end; ++index) {
-        core::Rmap a;
         double area = 0.0;
-        for (std::size_t d = 0; d < dims_.size(); ++d) {
-            if (counter[d] > 0) {
-                a.set(dims_[d].first, counter[d]);
+        for (std::size_t d = 0; d < dims_.size(); ++d)
+            if (counter[d] > 0)
                 area += lib_[dims_[d].first].area * counter[d];
-            }
+        // Only a visited point pays for its Rmap.
+        if (area <= max_area) {
+            core::Rmap a;
+            for (std::size_t d = 0; d < dims_.size(); ++d)
+                if (counter[d] > 0)
+                    a.set(dims_[d].first, counter[d]);
+            if (!visit(a))
+                return;
         }
-        if (area <= max_area && !visit(a))
-            return;
 
         // Increment the mixed-radix counter.  Compare before
         // incrementing: ++ on a digit already at a bound of INT_MAX

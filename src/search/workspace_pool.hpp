@@ -15,32 +15,69 @@
 // slots' warm checkpoints, reported as
 // Solve_result::dp_rows_reused_cross_request.
 //
-// Beside the slots sits one solve-wide buffer, axis_costs(): the
-// multi_asic_bb a1-axis cost table, filled before the workers start
-// and only read while they run.  Keeping it here lets repeat solves on
-// one session (distributed leases, serve batches) refill it in place
-// instead of re-allocating it.
+// Beside the slots sits the multi_asic_bb pair-walk prep, Pair_axes:
+// the two allocation axes, their dominance masks and the a1 cost
+// table.  The engine builds each part on first use and every later
+// solve of the session reads it, so distributed leases and serve
+// batches pay for it once.
 //
-// Threading contract: prepare() and axis_costs() writes are
-// single-threaded (before dispatching workers); afterwards distinct
-// workers may use distinct slots concurrently and read axis_costs().
-// Sessions run one solve at a time, which is the only serialization
-// this needs.
+// Threading contract: prepare() and the prep's writes are single-
+// threaded (before dispatching workers); afterwards distinct workers
+// may use distinct slots concurrently and read the prep.  Sessions run
+// one solve at a time, which is the only serialization this needs.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "core/rmap.hpp"
 #include "pace/multi_asic.hpp"
 #include "pace/pace.hpp"
 #include "util/arena.hpp"
 
 namespace lycos::search {
 
+/// One allocation on a multi_asic_bb axis, with its data-path area
+/// (the pair walk compares it millions of times).
+struct Axis_point {
+    core::Rmap alloc;
+    double area = 0.0;
+};
+
+/// The multi_asic_bb pair-walk prep of one session.  Every part is a
+/// function of the session's Problem alone, so it stays valid for the
+/// session's lifetime; solver/multi_asic_bb.cpp builds and documents
+/// it.
+struct Pair_axes {
+    /// Per ASIC, every allocation whose data-path fits that ASIC's
+    /// budget, in mixed-radix enumeration order.
+    std::array<std::vector<Axis_point>, 2> axis;
+    bool enumerated = false;
+
+    /// The dominance screen has run (it runs at most once).
+    bool screened = false;
+    /// Both soundness guards held, so a solve may walk the undominated
+    /// points only; the fields below are filled only then.
+    bool filterable = false;
+    /// Per a0 point, 1 when no other point dominates it.
+    std::vector<std::uint8_t> live_rows;
+    /// The undominated a1 points' indices, ascending.
+    std::vector<std::int32_t> live_cols;
+    std::array<long long, 2> n_live{0, 0};
+
+    /// The a1 cost table, n_bsbs costs per row: the rows of live_cols
+    /// when costs1_live, else the rows of a1 points [0, costs1_points).
+    std::vector<pace::Bsb_cost> costs1;
+    bool costs1_live = false;
+    std::size_t costs1_points = 0;
+};
+
 /// Grow-only pool of per-worker (arena, workspace) slots owned by a
 /// solver::Session and lent to the engines for the duration of one
-/// solve.
+/// solve, beside the session's Pair_axes.
 class Dp_workspace_pool {
 public:
     struct Slot {
@@ -69,13 +106,12 @@ public:
 
     std::size_t size() const { return slots_.size(); }
 
-    /// The solve-wide a1-axis cost table (point-major, one
-    /// pace::Bsb_cost per BSB); its capacity only grows.
-    std::vector<pace::Bsb_cost>& axis_costs() { return axis_costs_; }
+    /// The session's multi_asic_bb pair-walk prep.
+    Pair_axes& pair_axes() { return pair_axes_; }
 
 private:
     std::vector<std::unique_ptr<Slot>> slots_;
-    std::vector<pace::Bsb_cost> axis_costs_;
+    Pair_axes pair_axes_;
 };
 
 }  // namespace lycos::search

@@ -14,6 +14,10 @@
 
 #include "solver/solver.hpp"
 
+namespace lycos::search {
+struct Pair_axes;
+}
+
 namespace lycos::solver::detail {
 
 /// Extras accessor shared by the strategies: defaults on monostate, a
@@ -42,6 +46,11 @@ Solve_result solve_multi_asic_bb(Session& session,
 /// The per-ASIC area budgets multi_asic_bb searches: the problem's
 /// asic_areas, or an even split of the single target when unset.
 std::array<double, 2> multi_asic_budgets(const Problem& problem);
+
+/// The session's multi_asic_bb axes: Pair_axes::axis enumerated on
+/// first use (throws std::invalid_argument when the single-ASIC space
+/// is too large to enumerate).  Not thread-safe, like Session::cache.
+search::Pair_axes& pair_axes(Session& session);
 
 /// The two-ASIC cost vector of one allocation pair: per BSB the
 /// allocation-independent t_sw plus each ASIC's cost.

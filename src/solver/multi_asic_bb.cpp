@@ -27,10 +27,23 @@
 //     saving floor one slack below the kill line: the DP drops the
 //     states that cannot reach it and stops once none is left, and
 //     the kill tests read its below-floor bound unchanged,
-//   * the a1 axis costs are fetched once per solve into an immutable
-//     point x BSB table (held in the session's workspace pool) that
-//     every worker and the row relaxation read; only the a0 row costs
-//     go through a worker's Eval_cache, once per row,
+//   * allocation dominance: before any row runs, both axes are
+//     screened down to their undominated points (a point y is
+//     dominated when an earlier point of the (area, index) order runs
+//     every BSB y can run no slower and with no more controller area).
+//     t_sw, comm and save_prev do not depend on the allocation, so a
+//     pair with a dominated point never beats the pair with its
+//     dominator; dominated rows and columns are skipped unscored and
+//     counted as pruned.  The filter needs one DP quantum for every
+//     pair and exact cost sums (screen_axes checks both per problem),
+//     and like priming it is off under a token or a truncating
+//     pair_limit, whose walked prefix may miss the dominator,
+//   * the axes, their dominance masks and the a1 axis costs live in
+//     the session's Pair_axes (search/workspace_pool.hpp), built once
+//     and read by every later solve of the session — distributed
+//     leases and serve batches included — and by every worker and the
+//     row relaxation; only the a0 row costs go through a worker's
+//     Eval_cache, once per live row,
 //   * rows are claimed dynamically, in increasing order, from one
 //     atomic cursor by n_threads workers over the Session pool; the
 //     workers share one in-process incumbent bound, and the reduce
@@ -46,15 +59,18 @@
 //     equals the brute-force best of the prefix.
 //
 // Every prune (row or pair) removes only pairs provably worse in
-// time than a pair that is actually evaluated, and each worker keeps
-// the first of its tied bests in enumeration order — so the best
-// (time, combined area, pair) tuple is bit-identical to the
-// brute-force pair scan for any thread count, claim interleaving, or
-// bound setting, the determinism contract all strategies carry.
+// time than a pair that is actually evaluated, the dominance filter
+// only pairs that lose the (time, combined area, pair index) order to
+// a walked pair, and each worker keeps the first of its tied bests in
+// enumeration order — so the best (time, combined area, pair) tuple
+// is bit-identical to the brute-force pair scan for any thread count,
+// claim interleaving, or bound setting, the determinism contract all
+// strategies carry.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -73,13 +89,6 @@ namespace lycos::solver::detail {
 namespace {
 
 constexpr double k_inf = std::numeric_limits<double>::infinity();
-
-/// One enumerable allocation of one ASIC (area pre-computed: the
-/// inner loop compares it millions of times).
-struct Axis_point {
-    core::Rmap alloc;
-    double area = 0.0;
-};
 
 /// Largest single-ASIC space the per-axis enumeration will walk while
 /// building the filtered point lists.
@@ -101,6 +110,7 @@ struct Pair_chunk {
     long long dp_states_swept = 0;
     long long dp_cells_dense = 0;
     long long rows_abandoned = 0;
+    long long pairs_dominated = 0;
     bool stopped = false;
     search::Eval_cache_stats stats;
 };
@@ -126,8 +136,8 @@ void set_asic1_costs(std::span<const pace::Bsb_cost> c1,
         out[k].hw[1] = c1[k];
 }
 
-/// Per-BSB best case over every asic1 axis point — the admissible
-/// relaxation behind the row bound.  Each field is optimistic
+/// Per-BSB best case over every asic1 point the walk pairs up — the
+/// admissible relaxation behind the row bound.  Each field is optimistic
 /// independently (the jointly-best point need not exist), so any DP
 /// or gain bound over these costs upper-bounds every concrete pair's:
 /// minimal hardware and bus time, minimal controller area, maximal
@@ -139,17 +149,15 @@ struct Axis_relaxation {
     double min_area = 0.0;  ///< smallest data-path area on the axis
 };
 
-/// Relaxation over the first axis.size() points of the a1 cost table
-/// (`table` holds n_bsbs costs per point, point-major).
-Axis_relaxation relax_axis(std::span<const Axis_point> axis,
-                           std::span<const pace::Bsb_cost> table,
-                           std::size_t n_bsbs)
+/// Relaxation over the rows of an a1 cost table (`table` holds n_bsbs
+/// costs per point, point-major) whose smallest data-path area is
+/// `min_area`.
+Axis_relaxation relax_axis(std::span<const pace::Bsb_cost> table,
+                           std::size_t n_bsbs, double min_area)
 {
-    constexpr double inf = std::numeric_limits<double>::infinity();
     Axis_relaxation r;
-    r.min_area = inf;
-    for (std::size_t j = 0; j < axis.size(); ++j) {
-        const auto costs = table.subspan(j * n_bsbs, n_bsbs);
+    for (std::size_t row = 0; row * n_bsbs < table.size(); ++row) {
+        const auto costs = table.subspan(row * n_bsbs, n_bsbs);
         if (r.best_case.empty()) {
             r.best_case.assign(costs.begin(), costs.end());
             for (auto& c : r.best_case)
@@ -174,14 +182,207 @@ Axis_relaxation relax_axis(std::span<const Axis_point> axis,
                 b.save_prev = std::max(b.save_prev, c.save_prev);
             }
         }
-        r.min_area = std::min(r.min_area, axis[j].area);
     }
-    if (std::isinf(r.min_area))
-        r.min_area = 0.0;
+    r.min_area = std::isinf(min_area) ? 0.0 : min_area;
     return r;
 }
 
+/// Bound of the exact-sums guard: each time field of a cost row, and
+/// the row's total, stay below it.
+constexpr double k_exact_limit = 0x1p50;
+
+/// The exact-sums guard on one point's cost row: t_sw and every
+/// finite t_hw, comm and save_prev an integer, and their magnitudes
+/// summed over the BSBs below 2^50.  Every DP value, evaluated time
+/// and intermediate sum over a pair of such rows is then an integer
+/// below 2^51, computed exactly, so a pair's time is exactly monotone
+/// in each of its costs.
+bool exact_row(std::span<const pace::Bsb_cost> costs)
+{
+    double total = 0.0;
+    for (const auto& c : costs) {
+        const double t_hw = std::isinf(c.t_hw) ? 0.0 : c.t_hw;
+        for (const double x : {c.t_sw, t_hw, c.comm, c.save_prev}) {
+            if (!(std::abs(x) < k_exact_limit) || x != std::floor(x))
+                return false;
+            total += std::abs(x);
+        }
+    }
+    return total < k_exact_limit;
+}
+
+/// A point's dominance cells: per BSB its (t_hw, ctrl_area), or
+/// (+inf, +inf) for a BSB it cannot run in hardware, which every
+/// point then covers.
+void dominance_cells(std::span<const pace::Bsb_cost> costs,
+                     std::vector<double>& out)
+{
+    out.clear();
+    for (const auto& c : costs) {
+        const bool runs = !std::isinf(c.t_hw) && !std::isinf(c.ctrl_area);
+        out.push_back(runs ? c.t_hw : k_inf);
+        out.push_back(runs ? c.ctrl_area : k_inf);
+    }
+}
+
+/// The dominance screen: fills prep.live_rows / live_cols / n_live
+/// and sets prep.filterable when both soundness guards hold, else
+/// leaves the filter off for the problem.
+///
+/// Rule.  Visit the points in (area, axis index) order; y is
+/// dominated when an earlier-visited point x runs every BSB y can run
+/// in hardware with t_hw(x) <= t_hw(y) and ctrl_area(x) <=
+/// ctrl_area(y).  The visiting order makes area(x) < area(y), or
+/// equal areas with x at the lower index, so the pair with x beats
+/// the pair with y in the (time, area sum, pair index) order or ties
+/// it.  Comparing y against the kept points only is enough, because
+/// dominance is transitive.
+///
+/// Guards, either of which turns the filter off:
+///   * one quantum: Problem::area_quantum > 0, and the largest DP grid
+///     any pair needs (budgets minus each axis's smallest data-path
+///     area) fits the default max_dp_cells, so no pair is
+///     re-quantized and a larger controller budget or a smaller
+///     controller area can only widen what a pair's DP may place;
+///   * exact sums: exact_row on every point, and every data-path area
+///     an integer below 2^52, so area sums are exact too.
+///
+/// The larger budget's axis is walked once through `cache`; the other
+/// axis is its subsequence of points within the smaller budget, and a
+/// dominator never has more area than the point it dominates, so one
+/// mask serves both.  Only the kept points' cells are held.
+void screen_axes(search::Pair_axes& prep, const search::Eval_context& ctx,
+                 const std::array<double, 2>& budgets,
+                 search::Eval_cache& cache)
+{
+    prep.screened = true;
+    const double q = ctx.area_quantum;
+    if (!(q > 0.0))
+        return;
+    double cells = 1.0;
+    for (std::size_t k = 0; k < 2; ++k) {
+        double min_area = k_inf;
+        for (const auto& p : prep.axis[k])
+            min_area = std::min(min_area, p.area);
+        cells *= std::floor((budgets[k] - min_area) / q) + 1.0;
+    }
+    if (!(cells <=
+          static_cast<double>(pace::Multi_pace_options{}.max_dp_cells)))
+        return;
+
+    const std::size_t big = budgets[0] >= budgets[1] ? 0 : 1;
+    const auto& points = prep.axis[big];
+    for (const auto& p : points)
+        if (!(p.area < 0x1p52) || p.area != std::floor(p.area))
+            return;
+    std::vector<std::size_t> order(points.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return points[a].area < points[b].area;
+                     });
+
+    const std::size_t n_cells = 2 * ctx.bsbs.size();
+    std::vector<double> kept;  // n_cells per kept point
+    std::vector<std::uint8_t> live(points.size(), 0);
+    std::vector<pace::Bsb_cost> costs;
+    std::vector<double> cells_y;
+    for (const std::size_t y : order) {
+        cache.costs_for(points[y].alloc, costs);
+        if (!exact_row(costs))
+            return;
+        dominance_cells(costs, cells_y);
+        bool dominated = false;
+        // Latest kept first: the larger data-paths cover the most.
+        for (std::size_t x = kept.size(); x > 0 && !dominated; x -= n_cells)
+            dominated = std::equal(cells_y.begin(), cells_y.end(),
+                                   kept.begin() + static_cast<std::ptrdiff_t>(
+                                                      x - n_cells),
+                                   [](double cy, double cx) {
+                                       return cx <= cy;
+                                   });
+        if (!dominated) {
+            kept.insert(kept.end(), cells_y.begin(), cells_y.end());
+            live[y] = 1;
+        }
+    }
+
+    // Both axes' masks from the one walk, by a merge in index order.
+    std::array<std::vector<std::uint8_t>, 2> mask;
+    for (std::size_t k = 0; k < 2; ++k)
+        for (std::size_t b = 0; b < points.size(); ++b)
+            if (points[b].area <= budgets[k])
+                mask[k].push_back(live[b]);
+    prep.live_rows = std::move(mask[0]);
+    prep.live_cols.clear();
+    for (std::size_t j = 0; j < mask[1].size(); ++j)
+        if (mask[1][j] != 0)
+            prep.live_cols.push_back(static_cast<std::int32_t>(j));
+    prep.n_live = {
+        std::count(prep.live_rows.begin(), prep.live_rows.end(), 1),
+        static_cast<long long>(prep.live_cols.size())};
+    prep.filterable = true;
+}
+
+/// Make prep.costs1 hold the a1 rows this solve reads: the live
+/// points' when it filters, else those of the first `reachable` a1
+/// points (a longer prefix an earlier solve left serves as is).
+void ensure_costs1(search::Pair_axes& prep, bool filter,
+                   std::size_t reachable, std::size_t n_bsbs,
+                   search::Eval_cache& cache)
+{
+    if (filter ? prep.costs1_live
+               : !prep.costs1_live && prep.costs1_points >= reachable)
+        return;
+    const std::size_t rows = filter ? prep.live_cols.size() : reachable;
+    // Marked empty until every row is in, so a throwing fetch leaves
+    // nothing a later solve would trust.
+    prep.costs1_live = false;
+    prep.costs1_points = 0;
+    prep.costs1.resize(rows * n_bsbs);
+    std::vector<pace::Bsb_cost> costs;
+    for (std::size_t c = 0; c < rows; ++c) {
+        const std::size_t j =
+            filter ? static_cast<std::size_t>(prep.live_cols[c]) : c;
+        cache.costs_for(prep.axis[1][j].alloc, costs);
+        std::copy(costs.begin(), costs.end(),
+                  prep.costs1.begin() +
+                      static_cast<std::ptrdiff_t>(c * n_bsbs));
+    }
+    prep.costs1_live = filter;
+    prep.costs1_points = filter ? 0 : reachable;
+}
+
 }  // namespace
+
+search::Pair_axes& pair_axes(Session& session)
+{
+    search::Pair_axes& prep = session.workspaces().pair_axes();
+    if (prep.enumerated)
+        return prep;
+    const search::Eval_context& ctx = session.context();
+    const auto budgets = multi_asic_budgets(session.problem());
+    const search::Alloc_space space(ctx.lib,
+                                    session.problem().restrictions);
+    if (space.size() > k_axis_enum_limit)
+        throw std::invalid_argument(
+            "multi_asic_bb: single-ASIC space too large to enumerate per "
+            "axis (" +
+            std::to_string(space.size()) + " points); tighten restrictions");
+    // Every allocation whose data-path fits that ASIC, in mixed-radix
+    // enumeration order.
+    prep.axis = {};
+    const double max_budget = std::max(budgets[0], budgets[1]);
+    space.for_each(max_budget, [&](const core::Rmap& a) {
+        const double area = a.area(ctx.lib);
+        for (std::size_t k = 0; k < 2; ++k)
+            if (area <= budgets[k])
+                prep.axis[k].push_back({a, area});
+        return true;
+    });
+    prep.enumerated = true;
+    return prep;
+}
 
 void combine_costs(std::span<const pace::Bsb_cost> c0,
                    std::span<const pace::Bsb_cost> c1,
@@ -200,27 +401,8 @@ Solve_result solve_multi_asic_bb(Session& session,
     const search::Eval_context& ctx = session.context();
     const auto budgets = multi_asic_budgets(session.problem());
 
-    const search::Alloc_space space(ctx.lib,
-                                    session.problem().restrictions);
-    if (space.size() > k_axis_enum_limit)
-        throw std::invalid_argument(
-            "multi_asic_bb: single-ASIC space too large to enumerate per "
-            "axis (" +
-            std::to_string(space.size()) + " points); tighten restrictions");
-
-    // Materialize the per-ASIC point lists: every allocation whose
-    // data-path fits that ASIC, in mixed-radix enumeration order.
-    std::array<std::vector<Axis_point>, 2> axis;
-    {
-        const double max_budget = std::max(budgets[0], budgets[1]);
-        space.for_each(max_budget, [&](const core::Rmap& a) {
-            const double area = a.area(ctx.lib);
-            for (std::size_t k = 0; k < 2; ++k)
-                if (area <= budgets[k])
-                    axis[k].push_back({a, area});
-            return true;
-        });
-    }
+    search::Pair_axes& prep = pair_axes(session);
+    const auto& axis = prep.axis;
     const long long f0 = static_cast<long long>(axis[0].size());
     const long long f1 = static_cast<long long>(axis[1].size());
     const long long pairs = f0 * f1;  // each axis <= 2^22, no overflow
@@ -237,6 +419,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     out.multi.active = true;
     out.multi.asic_areas = budgets;
     out.multi.axis_points = {f0, f1};
+    out.multi.axis_live = {f0, f1};
     out.multi.pairs_skipped = pairs - walked;
     // A best-of-prefix is an anytime result, never `complete`: the
     // skipped pairs were cut by the pair budget.
@@ -268,48 +451,65 @@ Solve_result solve_multi_asic_bb(Session& session,
         return out;
     }
 
-    // Shared prep: the all-software baseline, the float-safety slack,
-    // the a1 cost table and its relaxation behind the row bound, and a
-    // primed time-to-beat from the greedy probe pair so every worker
-    // prunes from the start.  The prep runs on the session cache, so
-    // worker 0 starts warm.
+    // Shared prep: the dominance screen and the a1 cost table (kept in
+    // the session's Pair_axes, so only the session's first solve pays
+    // for them), the all-software baseline, the float-safety slack, the
+    // row relaxation, and a primed time-to-beat from the greedy probe
+    // pair so every worker prunes from the start.  The prep runs on the
+    // session cache, so worker 0 starts warm.
     const Worker_caches caches(session, options.cache_capacity);
+    search::Eval_cache& prep_cache = caches.session_cache();
+
+    // A pruned walk over every pair that no token can cut short.  Only
+    // such a walk primes its incumbent or filters dominated points: a
+    // truncated prefix, or a cut at an index unknown in advance, may
+    // walk a pair but not the probe pair or the dominator that beats
+    // it, and pruning against those could starve the walked part of
+    // its own best.
+    const bool full_walk = options.use_pruning &&
+                           out.multi.pairs_skipped == 0 &&
+                           options.cancel == nullptr;
+    if (full_walk && !prep.screened)
+        screen_axes(prep, ctx, budgets, prep_cache);
+    const bool filter = full_walk && prep.filterable;
+    if (filter)
+        out.multi.axis_live = prep.n_live;
 
     const bool use_row_bound = options.use_pruning && extras.use_row_bound;
     const std::size_t n_bsbs = ctx.bsbs.size();
-    // Under a truncating pair_limit no row ever reaches a1 points past
-    // the walked prefix, so the table (and the relaxation over it)
-    // covers just the reachable ones.
-    const auto reachable =
-        static_cast<std::size_t>(std::min<long long>(f1, walked));
-    std::vector<pace::Bsb_cost>& table = session.workspaces().axis_costs();
+    // The a1 points a row pairs up, in increasing index order: the
+    // live ones, or (filter off) all of them — under a truncating
+    // pair_limit no row reaches a1 points past the walked prefix, so
+    // the table (and the relaxation over it) covers just those.
+    const long long n_cols =
+        filter ? prep.n_live[1] : std::min<long long>(f1, walked);
+    const auto column = [&](long long c) {
+        return filter ? static_cast<long long>(
+                            prep.live_cols[static_cast<std::size_t>(c)])
+                      : c;
+    };
     double all_sw = 0.0;
     double prime_time = std::numeric_limits<double>::infinity();
     Axis_relaxation relax1;
     {
-        search::Eval_cache& prep = caches.session_cache();
+        const search::Alloc_space space(ctx.lib,
+                                        session.problem().restrictions);
         std::vector<pace::Bsb_cost> probe0;
         std::vector<pace::Bsb_cost> probe1;
         std::vector<pace::Multi_bsb_cost> probe_costs;
         // Greedy per-axis probe (the prime_incumbent idea): a point of
         // the filtered axis list, so priming against its screened time
         // can only remove pairs strictly worse than a pair the
-        // enumeration scores anyway.
+        // enumeration scores anyway (or than its dominator, which the
+        // enumeration scores when the probe is dominated).
         const auto g0 = space.greedy_fill(ctx.lib, budgets[0]);
         const auto g1 = space.greedy_fill(ctx.lib, budgets[1]);
-        prep.costs_for(g0, probe0);
-        prep.costs_for(g1, probe1);
+        prep_cache.costs_for(g0, probe0);
+        prep_cache.costs_for(g1, probe1);
         combine_costs(probe0, probe1, probe_costs);
         for (const auto& c : probe_costs)
             all_sw += c.t_sw;
-        // Priming is only sound when the greedy pair is guaranteed to
-        // be *walked*: with a truncated prefix it may lie outside, and
-        // pruning against an unwalked pair could starve the prefix of
-        // its own best.  Prefix runs prune from walked incumbents only.
-        // A cancellation token truncates the same way (at an index
-        // unknown in advance), so it disables priming identically.
-        if (options.use_pruning && out.multi.pairs_skipped == 0 &&
-            options.cancel == nullptr) {
+        if (full_walk) {
             pace::Multi_pace_options mo;
             mo.ctrl_area_budgets = {budgets[0] - g0.area(ctx.lib),
                                     budgets[1] - g1.area(ctx.lib)};
@@ -319,17 +519,20 @@ Solve_result solve_multi_asic_bb(Session& session,
                 all_sw - pace::multi_pace_best_saving(probe_costs, mo, &mws);
         }
         // The a1 cost table: every pair of every row reads its a1 half
-        // here instead of re-fetching it from a cache per pair.
-        table.resize(reachable * n_bsbs);
-        for (std::size_t j = 0; j < reachable; ++j) {
-            prep.costs_for(axis[1][j].alloc, probe1);
-            std::copy(probe1.begin(), probe1.end(),
-                      table.begin() + static_cast<std::ptrdiff_t>(j * n_bsbs));
-        }
-        if (use_row_bound)
+        // there instead of re-fetching it from a cache per pair.
+        ensure_costs1(prep, filter, static_cast<std::size_t>(n_cols),
+                      n_bsbs, prep_cache);
+        if (use_row_bound) {
+            double min_area = k_inf;
+            for (long long c = 0; c < n_cols; ++c)
+                min_area = std::min(
+                    min_area, axis[1][static_cast<std::size_t>(column(c))]
+                                  .area);
             relax1 = relax_axis(
-                std::span<const Axis_point>(axis[1]).first(reachable),
-                table, n_bsbs);
+                std::span<const pace::Bsb_cost>(prep.costs1)
+                    .first(static_cast<std::size_t>(n_cols) * n_bsbs),
+                n_bsbs, min_area);
+        }
     }
     const double slack = 1e-7 * std::max(1.0, std::abs(all_sw));
     // Saving floor of a sweep bounded by `threshold`: one slack below
@@ -338,7 +541,7 @@ Solve_result solve_multi_asic_bb(Session& session,
     const auto saving_floor = [&](double threshold) {
         return all_sw - threshold - 2.0 * slack;
     };
-    const std::span<const pace::Bsb_cost> costs1_table(table);
+    const std::span<const pace::Bsb_cost> costs1_table(prep.costs1);
 
     const std::size_t n_threads = util::clamp_chunks(
         options.n_threads, util::Thread_pool::default_concurrency(),
@@ -414,9 +617,22 @@ Solve_result solve_multi_asic_bb(Session& session,
             const auto& p0 = axis[0][static_cast<std::size_t>(i)];
             // The final row of a truncated prefix may be partial.
             const long long j_end = std::min(f1, walked - i * f1);
+            if (filter && prep.live_rows[static_cast<std::size_t>(i)] == 0) {
+                // A dominated a0 point: every pair of its row loses to
+                // the same pair with its dominator.
+                ++chunk.rows_visited;
+                chunk.n_pruned += j_end;
+                chunk.pairs_dominated += j_end;
+                continue;
+            }
             cache.costs_for(p0.alloc, costs0);
             set_asic0_costs(costs0, mcosts);
             ++chunk.rows_visited;
+            // The row's dominated a1 points are skipped the same way
+            // (with the filter on, no row is partial).
+            const long long row_cols = filter ? n_cols : j_end;
+            chunk.n_pruned += j_end - row_cols;
+            chunk.pairs_dominated += j_end - row_cols;
 
             const double local_row = std::min(prime_time, incumbent.get());
             if (ext != nullptr)
@@ -454,17 +670,17 @@ Solve_result solve_multi_asic_bb(Session& session,
                     killed = bound_time > threshold_row + slack;
                 }
                 if (killed) {
-                    chunk.n_pruned += j_end;
+                    chunk.n_pruned += row_cols;
                     // A kill the local threshold alone would not have
                     // made is credited to the remote bound.
                     if (!(bound_time > local_row + slack))
-                        chunk.n_pruned_remote += j_end;
+                        chunk.n_pruned_remote += row_cols;
                     ++chunk.rows_pruned;
                     continue;
                 }
             }
 
-            for (long long j = 0; j < j_end; ++j) {
+            for (long long c = 0; c < row_cols; ++c) {
                 // Live-condition poll once per pair: a tripped token
                 // abandons this row, stops the claiming and keeps the
                 // incumbent found so far.
@@ -472,9 +688,10 @@ Solve_result solve_multi_asic_bb(Session& session,
                     abandon_row();
                     break;
                 }
+                const long long j = column(c);
                 const auto& p1 = axis[1][static_cast<std::size_t>(j)];
                 const auto costs1 = costs1_table.subspan(
-                    static_cast<std::size_t>(j) * n_bsbs, n_bsbs);
+                    static_cast<std::size_t>(c) * n_bsbs, n_bsbs);
 
                 const double local_thr =
                     std::min(prime_time, incumbent.get());
@@ -591,6 +808,7 @@ Solve_result solve_multi_asic_bb(Session& session,
         out.chunks_abandoned += chunk.stopped ? 1 : 0;
         out.multi.rows_visited += chunk.rows_visited;
         out.multi.rows_pruned += chunk.rows_pruned;
+        out.multi.pairs_dominated += chunk.pairs_dominated;
         out.multi.dp_states_swept += chunk.dp_states_swept;
         out.multi.dp_cells_dense += chunk.dp_cells_dense;
         out.cache_stats += chunk.stats;

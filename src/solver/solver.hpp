@@ -219,10 +219,19 @@ struct Multi_solve_result {
     std::array<double, 2> asic_areas{0.0, 0.0};   ///< budgets searched
     pace::Multi_pace_result partition;            ///< its two-ASIC partition
     std::array<long long, 2> axis_points{0, 0};   ///< per-ASIC fitting points
+    /// Per-ASIC undominated points: the ones the walk pairs up (see
+    /// docs/api.md, "Allocation dominance").  Equal to axis_points
+    /// when the dominance filter is off; {0, 0} in a distributed
+    /// result, whose lease results do not carry it.
+    std::array<long long, 2> axis_live{0, 0};
 
     // Pair-tree branch-and-bound observability:
     long long rows_visited = 0;  ///< a0 rows walked (within the prefix)
     long long rows_pruned = 0;   ///< rows killed whole by the row bound
+    /// Pairs with a dominated point, skipped unscored: their share of
+    /// Solve_result::n_pruned (0 when the filter is off, and in a
+    /// distributed result).
+    long long pairs_dominated = 0;
     /// Pairs beyond Multi_asic_extras::pair_limit, deterministically
     /// skipped instead of thrown on (0 = the whole space was walked;
     /// > 0 makes the status `budget`).

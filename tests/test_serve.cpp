@@ -18,6 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "apps/apps.hpp"
+#include "core/analysis.hpp"
+#include "core/restrictions.hpp"
 #include "hw/target.hpp"
 #include "serve/serve.hpp"
 #include "serve/trace.hpp"
@@ -266,6 +269,38 @@ TEST(ServeLadder, one_shot_matches_hand_built_session)
     const auto direct = session.solve({.n_threads = 1});
     EXPECT_EQ(fingerprint(r.result, lib), fingerprint(direct, lib));
     EXPECT_EQ(r.result.strategy, direct.strategy);
+}
+
+// serve_mix's two-ASIC request: hal@7000 at {3500, 3500} gates and the
+// command-line quantum.  The server solves it under its master token,
+// where multi_asic_bb walks every pair; replay_rung solves it without
+// one, where the dominance filter skips the dominated points.  The two
+// answers must agree bit for bit.
+TEST(ServeLadder, hal_two_asic_answer_matches_its_replay)
+{
+    const auto app = lycos::apps::make_hal();
+    const auto lib = lh::make_default_library();
+    lse::Request req;
+    req.problem.bsbs = app.bsbs;
+    req.problem.lib = &lib;
+    req.problem.target = lh::make_default_target(7000.0);
+    req.problem.restrictions = lycos::core::compute_restrictions(
+        lycos::core::analyze(app.bsbs, lib, req.problem.target.gates), lib);
+    req.problem.area_quantum = 7000.0 / 512.0;
+    req.problem.asic_areas = {3500.0, 3500.0};
+    req.strategy = "multi_asic_bb";
+    req.options.n_threads = 1;
+
+    lse::Server server({.n_workers = 1});
+    const auto resp = server.submit(req).get();
+    ASSERT_EQ(resp.status, lse::Request_status::complete) << resp.error;
+    ASSERT_EQ(resp.rung_strategy, "multi_asic_bb");
+    const auto replayed = lse::replay_rung(req, resp);
+    EXPECT_EQ(fingerprint(resp.result, lib), fingerprint(replayed, lib));
+    EXPECT_EQ(resp.result.multi.partition.placement,
+              replayed.multi.partition.placement);
+    EXPECT_EQ(resp.result.multi.axis_live, resp.result.multi.axis_points);
+    EXPECT_LT(replayed.multi.axis_live[0], replayed.multi.axis_points[0]);
 }
 
 TEST(ServeLadder, tripped_rung_retries_then_completes)

@@ -5,13 +5,16 @@
 // independent of chunking, equal to a brute-force pair scan).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "apps/random_app.hpp"
 #include "core/allocator.hpp"
 #include "core/analysis.hpp"
 #include "core/restrictions.hpp"
+#include "estimate/storage.hpp"
 #include "hw/target.hpp"
 #include "pace/multi_asic.hpp"
 #include "search/alloc_space.hpp"
@@ -91,6 +94,112 @@ lso::Problem random_problem(lycos::util::Rng& rng,
     p.restrictions = bounds_store;
     p.area_quantum = target_store.asic.total_area / 64.0;
     return p;
+}
+
+/// The best two-ASIC pair by a flat scan over every pair of fitting
+/// allocations: uncached cost models (build_cost_model per point, the
+/// two halves of build_multi_cost_model), one full partition per pair,
+/// the first (time, area sum) minimum in a0-major order.  It shares
+/// nothing with the engine's Session, caches or axis prep.
+struct Pair_scan {
+    std::array<lc::Rmap, 2> datapaths;
+    double time = 0.0;
+    double area_sum = 0.0;
+    std::vector<lp::Placement> placement;
+    long long n_pairs = 0;
+};
+
+Pair_scan flat_pair_scan(const lso::Problem& p,
+                         const std::array<double, 2>& budgets)
+{
+    const lse::Alloc_space space(*p.lib, p.restrictions);
+    std::array<std::vector<lc::Rmap>, 2> axis;
+    std::array<std::vector<std::vector<lp::Bsb_cost>>, 2> point_costs;
+    for (std::size_t k = 0; k < 2; ++k)
+        space.for_each(budgets[k], [&](const lc::Rmap& a) {
+            axis[k].push_back(a);
+            point_costs[k].push_back(lp::build_cost_model(
+                p.bsbs, *p.lib, p.target, a, p.ctrl_mode, p.storage,
+                p.scheduler));
+            return true;
+        });
+    Pair_scan best;
+    bool have = false;
+    std::vector<lp::Multi_bsb_cost> costs(p.bsbs.size());
+    for (std::size_t i = 0; i < axis[0].size(); ++i) {
+        for (std::size_t j = 0; j < axis[1].size(); ++j) {
+            const auto& a0 = axis[0][i];
+            const auto& a1 = axis[1][j];
+            for (std::size_t b = 0; b < costs.size(); ++b) {
+                costs[b].t_sw = point_costs[0][i][b].t_sw;
+                costs[b].hw = {point_costs[0][i][b], point_costs[1][j][b]};
+            }
+            lp::Multi_pace_options mo;
+            mo.ctrl_area_budgets = {budgets[0] - a0.area(*p.lib),
+                                    budgets[1] - a1.area(*p.lib)};
+            mo.area_quantum = p.area_quantum;
+            const auto r = lp::multi_pace_partition(costs, mo);
+            const double area_sum = a0.area(*p.lib) + a1.area(*p.lib);
+            if (!have || r.time_hybrid_ns < best.time ||
+                (r.time_hybrid_ns == best.time && area_sum < best.area_sum)) {
+                best.datapaths = {a0, a1};
+                best.time = r.time_hybrid_ns;
+                best.area_sum = area_sum;
+                best.placement = r.placement;
+                have = true;
+            }
+        }
+    }
+    best.n_pairs = static_cast<long long>(axis[0].size()) *
+                   static_cast<long long>(axis[1].size());
+    return best;
+}
+
+/// A Table-1 app as the two-ASIC problem the command-line flow and the
+/// benchmark solve: restrictions from the analysis, search quantum
+/// area / 512, budgets `split` and 1 - split of `area`.  problem()
+/// points into the fixture, which must outlive every Session built
+/// from it.
+struct App_two_asic {
+    lycos::apps::App app;
+    lh::Hw_library lib = lh::make_default_library();
+    lh::Target target;
+    lc::Rmap restrictions;
+    std::array<double, 2> budgets;
+
+    App_two_asic(lycos::apps::App a, double area, double split)
+        : app(std::move(a)), target(lh::make_default_target(area)),
+          restrictions(lc::compute_restrictions(
+              lc::analyze(app.bsbs, lib, target.gates), lib)),
+          budgets{area * split, area * (1.0 - split)}
+    {
+    }
+
+    lso::Problem problem() const
+    {
+        lso::Problem p;
+        p.bsbs = app.bsbs;
+        p.lib = &lib;
+        p.target = target;
+        p.restrictions = restrictions;
+        p.area_quantum = target.asic.total_area / 512.0;
+        p.asic_areas = budgets;
+        return p;
+    }
+};
+
+void expect_same_pair(const lso::Solve_result& a, const lso::Solve_result& b,
+                      const std::string& what)
+{
+    EXPECT_EQ(a.multi.datapaths, b.multi.datapaths) << what;
+    EXPECT_EQ(a.multi.partition.time_hybrid_ns,
+              b.multi.partition.time_hybrid_ns)
+        << what;
+    EXPECT_EQ(a.multi.datapath_area[0] + a.multi.datapath_area[1],
+              b.multi.datapath_area[0] + b.multi.datapath_area[1])
+        << what;
+    EXPECT_EQ(a.multi.partition.placement, b.multi.partition.placement)
+        << what;
 }
 
 }  // namespace
@@ -325,41 +434,10 @@ TEST(MultiAsicBb, deterministic_and_matches_brute_force)
     // uncached cost models — the search's memoized costs must lead to
     // the identical best pair.
     const double half = target.asic.total_area / 2.0;
-    std::vector<lc::Rmap> points;
-    const lse::Alloc_space space(lib, p.restrictions);
-    space.for_each(half, [&](const lc::Rmap& a) {
-        points.push_back(a);
-        return true;
-    });
-    ASSERT_EQ(static_cast<long long>(points.size()) *
-                  static_cast<long long>(points.size()),
-              reference.space_size);
-
-    bool have = false;
-    double best_time = 0.0;
-    double best_area = 0.0;
-    std::array<lc::Rmap, 2> best_pair;
-    for (const auto& a0 : points) {
-        for (const auto& a1 : points) {
-            const auto costs = lp::build_multi_cost_model(
-                bsbs, lib, target, a0, a1, p.ctrl_mode);
-            lp::Multi_pace_options mo;
-            mo.ctrl_area_budgets = {half - a0.area(lib),
-                                    half - a1.area(lib)};
-            mo.area_quantum = p.area_quantum;
-            const auto r = lp::multi_pace_partition(costs, mo);
-            const double area_sum = a0.area(lib) + a1.area(lib);
-            if (!have || r.time_hybrid_ns < best_time ||
-                (r.time_hybrid_ns == best_time && area_sum < best_area)) {
-                best_time = r.time_hybrid_ns;
-                best_area = area_sum;
-                best_pair = {a0, a1};
-                have = true;
-            }
-        }
-    }
-    EXPECT_EQ(reference.multi.datapaths, best_pair);
-    EXPECT_EQ(reference.multi.partition.time_hybrid_ns, best_time);
+    const auto scan = flat_pair_scan(p, {half, half});
+    ASSERT_EQ(scan.n_pairs, reference.space_size);
+    EXPECT_EQ(reference.multi.datapaths, scan.datapaths);
+    EXPECT_EQ(reference.multi.partition.time_hybrid_ns, scan.time);
 
     // Seeded random problems at an even, an asymmetric and a starved-
     // secondary split, against their 1-thread unpruned walk.  Workers
@@ -416,9 +494,207 @@ TEST(MultiAsicBb, deterministic_and_matches_brute_force)
                           ref.multi.partition.placement);
                 EXPECT_EQ(r.multi.datapath_area, ref.multi.datapath_area);
                 EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size);
+                // Real-valued profiles: the exact-sums guard keeps the
+                // dominance filter off.
+                EXPECT_EQ(r.multi.axis_live, r.multi.axis_points);
             }
         }
     }
+}
+
+// The dominance filter against an oracle that shares nothing with the
+// engine: seeded random problems whose profiles are rounded to whole
+// numbers, so every time field is an integer number of nanoseconds and
+// the exact-sums guard holds.  The walk then pairs up undominated
+// points only; its best pair, time, area sum and placement must equal
+// the flat pair scan's on every thread count.  The twin adder makes
+// equal-area, equal-cost points certain: the lower-index one must be
+// the one kept, or exact ties move.  Trials cycle through the
+// controller models.  In the default one a BSB's controller area and
+// hardware time both follow its schedule length, so a rule that
+// compared controller areas alone would pass there; under the ECA
+// model, whose controller area does not depend on the allocation, it
+// loses answers.  The storage model adds register and interconnect
+// area that does depend on it.
+TEST(MultiAsicBb, dominance_filter_matches_flat_pair_scan)
+{
+    auto dlib = lh::make_default_library();
+    const auto adder = *dlib.find("adder");
+    const auto twin = dlib.add({"adder_twin", {Op_kind::add, Op_kind::neg},
+                                dlib[adder].area,
+                                dlib[adder].latency_cycles});
+    const std::array<double, 3> splits{0.5, 0.65, 0.9};
+    std::array<bool, 3> filtered{};
+    // Registers and multiplexers heavy enough that controller budgets
+    // bind.
+    const lycos::estimate::Storage_model storage{.reg_area = 400.0,
+                                                 .mux_input_area = 60.0};
+    lycos::util::Rng rng(2026);
+    for (int trial = 0; trial < 18; ++trial) {
+        lycos::apps::Random_app_params params;
+        params.n_bsbs = rng.uniform_int(2, 5);
+        params.min_ops = 4;
+        params.max_ops = 16;
+        params.kinds = {Op_kind::add, Op_kind::sub, Op_kind::mul,
+                        Op_kind::cmp_lt};
+        auto rbsbs = lycos::apps::random_bsbs(rng, params);
+        for (auto& b : rbsbs)
+            b.profile = std::round(b.profile);
+        lso::Problem rp;
+        rp.bsbs = rbsbs;
+        rp.lib = &dlib;
+        rp.target = lh::make_default_target(500.0 * rng.uniform_int(4, 14));
+        rp.restrictions.set(adder, 1);
+        rp.restrictions.set(twin, 1);
+        for (const char* unit : {"subtractor", "multiplier", "comparator"})
+            rp.restrictions.set(*dlib.find(unit), rng.uniform_int(1, 2));
+        rp.area_quantum = rp.target.asic.total_area / 64.0;
+        rp.ctrl_mode = trial % 3 == 1 ? lp::Controller_mode::optimistic_eca
+                                      : lp::Controller_mode::list_schedule;
+        rp.storage = trial % 3 == 2 ? &storage : nullptr;
+        for (std::size_t s = 0; s < splits.size(); ++s) {
+            const double area = rp.target.asic.total_area;
+            rp.asic_areas = {area * splits[s], area * (1.0 - splits[s])};
+            const auto scan = flat_pair_scan(rp, rp.asic_areas);
+            lso::Session rs(rp);
+            for (int n_threads : {1, 2, 3, 8}) {
+                const auto r =
+                    rs.solve("multi_asic_bb", {.n_threads = n_threads});
+                const std::string what =
+                    "trial " + std::to_string(trial) + ", split " +
+                    std::to_string(splits[s]) + ", " +
+                    std::to_string(n_threads) + " threads";
+                EXPECT_EQ(r.multi.datapaths, scan.datapaths) << what;
+                EXPECT_EQ(r.multi.partition.time_hybrid_ns, scan.time)
+                    << what;
+                EXPECT_EQ(r.multi.datapath_area[0] +
+                              r.multi.datapath_area[1],
+                          scan.area_sum)
+                    << what;
+                EXPECT_EQ(r.multi.partition.placement, scan.placement)
+                    << what;
+                EXPECT_EQ(r.space_size, scan.n_pairs) << what;
+                EXPECT_EQ(r.n_evaluated + r.n_pruned, r.space_size) << what;
+                EXPECT_LE(r.multi.pairs_dominated, r.n_pruned) << what;
+                EXPECT_EQ(r.multi.rows_visited, r.multi.axis_points[0])
+                    << what;
+                if (r.multi.axis_live[0] < r.multi.axis_points[0] ||
+                    r.multi.axis_live[1] < r.multi.axis_points[1])
+                    filtered[s] = true;
+            }
+        }
+    }
+    for (std::size_t s = 0; s < splits.size(); ++s)
+        EXPECT_TRUE(filtered[s]) << "the filter never fired at split "
+                                 << splits[s];
+}
+
+// The filter is off under a token, so a token-free solve and one under
+// a no-op token walk different pairs; their answers must still agree
+// bit for bit.  serve::Server runs every solve under a token, and its
+// replay check (serve::replay_rung) runs without one.  The problems
+// are the benchmark's two-ASIC set and serve_mix's hal request.
+TEST(MultiAsicBb, token_path_matches_token_free_path)
+{
+    struct Case {
+        lycos::apps::App (*make)();
+        double area;  // 0 = the app's preset
+        double split;
+    };
+    for (const Case c : {Case{lycos::apps::make_man, 0.0, 0.5},
+                         Case{lycos::apps::make_straight, 0.0, 0.5},
+                         Case{lycos::apps::make_eigen, 7000.0, 0.5},
+                         Case{lycos::apps::make_eigen, 7000.0, 0.65},
+                         Case{lycos::apps::make_hal, 7000.0, 0.5}}) {
+        auto app = c.make();
+        const double area = c.area > 0.0 ? c.area : app.asic_area;
+        const App_two_asic fixture(std::move(app), area, c.split);
+        const std::string name =
+            fixture.app.name + "@" + std::to_string(area);
+        lso::Session session(fixture.problem());
+        for (int n_threads : {1, 4}) {
+            const auto free = session.solve("multi_asic_bb",
+                                            {.n_threads = n_threads});
+            const lycos::util::Cancel_token token;
+            const auto held = session.solve(
+                "multi_asic_bb", {.n_threads = n_threads}, token);
+            const std::string what =
+                name + ", " + std::to_string(n_threads) + " threads";
+            ASSERT_EQ(free.status, lycos::util::Solve_status::complete)
+                << what;
+            ASSERT_EQ(held.status, lycos::util::Solve_status::complete)
+                << what;
+            expect_same_pair(held, free, what);
+            // The token-free walk filtered; the one under a token did
+            // not.
+            EXPECT_LT(free.multi.axis_live[0], free.multi.axis_points[0])
+                << what;
+            EXPECT_GT(free.multi.pairs_dominated, 0) << what;
+            EXPECT_EQ(held.multi.axis_live, held.multi.axis_points) << what;
+            EXPECT_EQ(held.multi.pairs_dominated, 0) << what;
+        }
+    }
+}
+
+// Each soundness guard turns the filter off for its problem, and the
+// answer stays the unpruned walk's.  The base problem is serve_mix's
+// hal request, where the filter fires.
+TEST(MultiAsicBb, dominance_guards_fall_back)
+{
+    const App_two_asic hal(lycos::apps::make_hal(), 7000.0, 0.5);
+    const auto solve_both = [](const lso::Problem& p, const char* what,
+                               bool expect_filter) {
+        lso::Session session(p);
+        const auto pruned = session.solve("multi_asic_bb", {.n_threads = 2});
+        const auto unpruned = session.solve(
+            "multi_asic_bb", {.n_threads = 1, .use_pruning = false});
+        expect_same_pair(pruned, unpruned, what);
+        EXPECT_EQ(unpruned.multi.axis_live, unpruned.multi.axis_points)
+            << what;
+        if (expect_filter) {
+            EXPECT_LT(pruned.multi.axis_live[0],
+                      pruned.multi.axis_points[0])
+                << what;
+            EXPECT_GT(pruned.multi.pairs_dominated, 0) << what;
+        }
+        else {
+            EXPECT_EQ(pruned.multi.axis_live, pruned.multi.axis_points)
+                << what;
+            EXPECT_EQ(pruned.multi.pairs_dominated, 0) << what;
+        }
+    };
+    solve_both(hal.problem(), "base", true);
+
+    // One quantum: the automatic quantum varies per pair...
+    auto p = hal.problem();
+    p.area_quantum = 0.0;
+    solve_both(p, "area_quantum = 0", false);
+    // ...and so does a re-quantized grid (2,049 x 2,049 cells here).
+    p = hal.problem();
+    p.area_quantum = 7000.0 / 4096.0;
+    solve_both(p, "grid past max_dp_cells", false);
+
+    // Exact sums: a profile of 1.01 makes hardware, software and bus
+    // times fractional.  A profile of 1.5 does not (the default
+    // target's cycles are 100 and 40 ns), so the filter stays on there.
+    auto bsbs = hal.app.bsbs;
+    bsbs[1].profile = 1.01;
+    p = hal.problem();
+    p.bsbs = bsbs;
+    solve_both(p, "a profile of 1.01", false);
+    bsbs[1].profile = 1.5;
+    solve_both(p, "a profile of 1.5", true);
+
+    // Exact sums: a half-gate adder makes data-path areas fractional.
+    lh::Hw_library odd;
+    for (auto type : hal.lib.types()) {
+        if (type.name == "adder")
+            type.area = 180.5;
+        odd.add(type);
+    }
+    p = hal.problem();
+    p.lib = &odd;
+    solve_both(p, "an adder of 180.5 gates", false);
 }
 
 // The pair_limit is a *soft* guard now: a pair space beyond it walks

@@ -592,6 +592,18 @@ int main(int argc, char** argv)
                 if (m.pairs_skipped > 0)
                     std::cout << ", " << util::with_commas(m.pairs_skipped)
                               << " pairs past --pair-limit skipped";
+                // A distributed result does not carry the dominance
+                // counters (axis_live stays 0).
+                if (m.axis_live[0] > 0)
+                    std::cout << "\n  dominance: "
+                              << util::with_commas(m.axis_live[0]) << "/"
+                              << util::with_commas(m.axis_points[0])
+                              << " and "
+                              << util::with_commas(m.axis_live[1]) << "/"
+                              << util::with_commas(m.axis_points[1])
+                              << " axis points undominated, "
+                              << util::with_commas(m.pairs_dominated)
+                              << " pairs skipped";
                 std::cout << "\n  sparse DP: "
                           << util::with_commas(m.dp_states_swept)
                           << " states swept ("
